@@ -6,7 +6,7 @@
 //! cargo run --release -p bench --bin reproduce -- [EXPERIMENT] [--paper] [--csv]
 //! cargo run --release -p bench --bin reproduce -- --scenario FILE.toml \
 //!     [--sweep param=v1,v2]... [--seeds N] [--first-seed N] \
-//!     [--workers N] [--shards N|auto] [--verbose] [--csv]
+//!     [--workers N] [--csv]
 //! ```
 //!
 //! `EXPERIMENT` is one of `fig11`, `fig12`, `fig13`, `fig14`, `fig15`, `fig16`,
@@ -19,18 +19,16 @@
 //! `--scenario` switches to the declarative path: the TOML file is compiled
 //! into an experiment matrix (see `manet_sim::scenario_compile` for the
 //! schema and `examples/*.toml` for worked files), every point runs through
-//! the sharded multi-seed runner, and one table is printed with a row per
-//! matrix point. `--sweep param=v1,v2` adds a sweep axis from the command
-//! line (repeatable; overrides a file axis sweeping the same parameter), and
+//! the multi-seed runner, and one table is printed with a row per matrix
+//! point. `--sweep param=v1,v2` adds a sweep axis from the command line
+//! (repeatable; overrides a file axis sweeping the same parameter), and
 //! `--seeds` / `--first-seed` override the file's `[seeds]` section.
-//! `--shards` defaults to `auto`, which splits `available_parallelism()`
-//! across the seed workers (the resolved count is echoed in the run header);
-//! `--verbose` prints the sharded engine's debug counters — widened windows,
-//! fused batches, repartition passes — after each matrix point.
+//! `--workers` sets how many seeds run at once (default
+//! `available_parallelism()`); each world runs on one thread.
 
 use manet_sim::experiments::{ablation, city, fig11, fig12, frugality};
 use manet_sim::{
-    compile_path, run_scenario_reports_sharded_with_stats, DataTable, ExperimentPoint, SweepAxis,
+    compile_path, run_scenario_reports_with_workers, DataTable, ExperimentPoint, SweepAxis,
 };
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,29 +153,6 @@ struct ScenarioArgs {
     seeds: Option<u64>,
     first_seed: Option<u64>,
     workers: usize,
-    shards: ShardCount,
-    verbose: bool,
-}
-
-/// The `--shards` flag: an explicit count, or `auto` (the default), which
-/// gives each seed worker an equal slice of `available_parallelism()` —
-/// `workers × shards ≈ cores`, the split the sharded runner documents.
-#[derive(Debug, Clone, Copy)]
-enum ShardCount {
-    Auto,
-    Fixed(usize),
-}
-
-impl ShardCount {
-    fn resolve(self, workers: usize) -> usize {
-        match self {
-            ShardCount::Fixed(shards) => shards,
-            ShardCount::Auto => {
-                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                (cores / workers.max(1)).max(1)
-            }
-        }
-    }
 }
 
 /// Parses the arguments that follow `--scenario`. Exits with a diagnostic on
@@ -201,8 +176,6 @@ fn parse_scenario_args(args: &[String]) -> ScenarioArgs {
         seeds: None,
         first_seed: None,
         workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        shards: ShardCount::Auto,
-        verbose: false,
     };
     let mut index = 0;
     while index < args.len() {
@@ -238,19 +211,6 @@ fn parse_scenario_args(args: &[String]) -> ScenarioArgs {
                     numeric::<usize>(value_of(args, index, "--workers"), "--workers").max(1);
                 index += 2;
             }
-            "--shards" => {
-                let value = value_of(args, index, "--shards");
-                options.shards = if value == "auto" {
-                    ShardCount::Auto
-                } else {
-                    ShardCount::Fixed(numeric::<usize>(value, "--shards").max(1))
-                };
-                index += 2;
-            }
-            "--verbose" => {
-                options.verbose = true;
-                index += 1;
-            }
             "--csv" | "--paper" => index += 1,
             other => {
                 eprintln!("unknown flag {other:?} in --scenario mode");
@@ -278,19 +238,12 @@ fn run_scenario_file(options: &ScenarioArgs, format: Format) {
     if let Some(runs) = options.seeds {
         plan.runs = runs;
     }
-    let shards = options.shards.resolve(options.workers);
-    let shards_note = match options.shards {
-        ShardCount::Auto => " [auto]",
-        ShardCount::Fixed(_) => "",
-    };
     eprintln!(
-        "# {}: {} matrix point(s), {} seed(s) each, {} worker(s), {} shard(s){}",
+        "# {}: {} matrix point(s), {} seed(s) each, {} worker(s)",
         matrix.label,
         matrix.points.len(),
         plan.runs,
-        options.workers,
-        shards,
-        shards_note
+        options.workers
     );
     let mut table = DataTable::new(
         format!("Scenario `{}` ({})", matrix.label, options.path),
@@ -305,29 +258,12 @@ fn run_scenario_file(options: &ScenarioArgs, format: Format) {
         ],
     );
     for point in &matrix.points {
-        let (reports, stats) = match run_scenario_reports_sharded_with_stats(
-            &point.scenario,
-            plan,
-            options.workers,
-            shards,
-        ) {
-            Ok(outcome) => outcome,
-            Err(err) => {
-                eprintln!("{}: point `{}` failed: {err}", options.path, point.label);
-                std::process::exit(1);
-            }
-        };
-        if options.verbose {
-            eprintln!(
-                "# point `{}`: windows_widened={} batches_fused={} repartitions={} \
-                 (summed over {} seed(s))",
-                point.label,
-                stats.windows_widened,
-                stats.batches_fused,
-                stats.repartitions,
-                reports.len()
-            );
-        }
+        let runs =
+            run_scenario_reports_with_workers(&point.scenario, plan, options.workers, |_| {});
+        let reports = runs.unwrap_or_else(|err| {
+            eprintln!("{}: point `{}` failed: {err}", options.path, point.label);
+            std::process::exit(1);
+        });
         let mut aggregate = ExperimentPoint::new();
         for report in &reports {
             aggregate.add(report);

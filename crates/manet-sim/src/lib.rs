@@ -72,8 +72,7 @@ pub mod world;
 pub use output::DataTable;
 pub use report::{EventOutcome, ExperimentPoint, NodeReport, RunReport};
 pub use runner::{
-    run_scenario, run_scenario_reports, run_scenario_reports_sharded,
-    run_scenario_reports_sharded_with_stats, run_scenario_reports_with_progress,
+    run_scenario, run_scenario_reports, run_scenario_reports_with_progress,
     run_scenario_reports_with_workers, SeedPlan, SeedProgress,
 };
 pub use scenario::{
@@ -84,4 +83,4 @@ pub use scenario_compile::{
     compile_path, compile_str, compile_str_with_sweeps, CompileError, CompiledMatrix, MatrixPoint,
     SweepAxis,
 };
-pub use world::{World, WorldArena, WorldDebugStats};
+pub use world::{World, WorldArena};

@@ -9,9 +9,9 @@
 
 use crate::report::{ExperimentPoint, RunReport};
 use crate::scenario::{Scenario, ScenarioError};
-use crate::world::{World, WorldArena, WorldDebugStats};
-use parking_lot::Mutex;
+use crate::world::WorldArena;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// How many seeds to use for one experiment point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,90 +146,6 @@ pub fn run_scenario_reports_with_workers<F>(
 where
     F: Fn(SeedProgress<'_>) + Sync,
 {
-    run_scenario_reports_configured(scenario, plan, workers, on_seed, |_| {}, |_| {})
-}
-
-/// Like [`run_scenario_reports`], but every world steps its event loop across
-/// `shards` shard threads (see [`World::set_shards`]). Reports are
-/// bit-identical to the single-shard runner for every shard count — sharding
-/// changes wall-clock time, never results. Seed-level parallelism and
-/// shard-level parallelism multiply, so sweeps should split the machine:
-/// `workers × shards ≈ available_parallelism()`.
-///
-/// # Errors
-///
-/// Returns a [`ScenarioError`] if the scenario fails validation.
-pub fn run_scenario_reports_sharded(
-    scenario: &Scenario,
-    plan: SeedPlan,
-    workers: usize,
-    shards: usize,
-) -> Result<Vec<RunReport>, ScenarioError> {
-    run_scenario_reports_configured(
-        scenario,
-        plan,
-        workers,
-        |_| {},
-        move |world| {
-            world.set_shards(shards);
-        },
-        |_| {},
-    )
-}
-
-/// Like [`run_scenario_reports_sharded`], but also returns the sum of every
-/// run's [`World::debug_stats`] counters — how often the sharded engine's
-/// adaptive lookahead and cost repartitioning actually engaged across the
-/// sweep. The counters are observability only; the reports are identical to
-/// [`run_scenario_reports_sharded`]'s.
-///
-/// # Errors
-///
-/// Returns a [`ScenarioError`] if the scenario fails validation.
-pub fn run_scenario_reports_sharded_with_stats(
-    scenario: &Scenario,
-    plan: SeedPlan,
-    workers: usize,
-    shards: usize,
-) -> Result<(Vec<RunReport>, WorldDebugStats), ScenarioError> {
-    let totals = Mutex::new(WorldDebugStats::default());
-    let reports = run_scenario_reports_configured(
-        scenario,
-        plan,
-        workers,
-        |_| {},
-        move |world| {
-            world.set_shards(shards);
-        },
-        |world| {
-            let stats = world.debug_stats();
-            let mut totals = totals.lock();
-            totals.windows_widened += stats.windows_widened;
-            totals.batches_fused += stats.batches_fused;
-            totals.repartitions += stats.repartitions;
-        },
-    )?;
-    Ok((reports, totals.into_inner()))
-}
-
-/// The shared seed-sweep pool: `configure` is applied to every checked-out
-/// world before it runs and `observe` right after (before the world is
-/// recycled), so callers can flip doc-hidden toggles or the shard knob and
-/// read back per-run engine counters without duplicating the work-stealing
-/// loop.
-fn run_scenario_reports_configured<F, C, O>(
-    scenario: &Scenario,
-    plan: SeedPlan,
-    workers: usize,
-    on_seed: F,
-    configure: C,
-    observe: O,
-) -> Result<Vec<RunReport>, ScenarioError>
-where
-    F: Fn(SeedProgress<'_>) + Sync,
-    C: Fn(&mut World) + Sync,
-    O: Fn(&World) + Sync,
-{
     scenario.validate()?;
     let seeds: Vec<u64> = plan.seeds().collect();
     if seeds.is_empty() {
@@ -265,9 +181,7 @@ where
                         let world = arena
                             .checkout(scenario, seed)
                             .expect("scenario validated before spawning workers");
-                        configure(world);
                         let report = world.run_mut();
-                        observe(world);
                         let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
                         on_seed(SeedProgress {
                             seed,
@@ -275,7 +189,8 @@ where
                             total: seeds.len(),
                             report: &report,
                         });
-                        results.lock()[index] = Some(report);
+                        results.lock().unwrap_or_else(PoisonError::into_inner)[index] =
+                            Some(report);
                     }
                 }
             });
@@ -284,6 +199,7 @@ where
 
     Ok(results
         .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
         .into_iter()
         .map(|r| r.expect("every seed produces a report"))
         .collect())
@@ -380,10 +296,10 @@ mod tests {
                 assert_eq!(progress.total, 5);
                 assert!(progress.completed >= 1 && progress.completed <= 5);
                 assert_eq!(progress.report.seed, progress.seed);
-                seen.lock().push(progress.seed);
+                seen.lock().unwrap().push(progress.seed);
             })
             .unwrap();
-        let mut seen = seen.into_inner();
+        let mut seen = seen.into_inner().unwrap();
         seen.sort_unstable();
         assert_eq!(seen, vec![3, 4, 5, 6, 7]);
         assert_eq!(reports.len(), 5);

@@ -47,7 +47,7 @@
 //! [`compile_str`] parses, validates (every error carries the `line:col` it
 //! was detected at) and compiles this into a [`CompiledMatrix`]: one
 //! [`Scenario`] per sweep-axis combination plus the [`SeedPlan`], ready for
-//! [`crate::runner::run_scenario_reports_sharded`]. The `reproduce
+//! [`crate::runner::run_scenario_reports_with_workers`]. The `reproduce
 //! --scenario` binary is the CLI entry; `examples/*.toml` are compiled twins
 //! of the repository's hard-coded scenarios, pinned byte-identical by the
 //! round-trip test suite.

@@ -42,8 +42,6 @@
 //! free list this makes the steady-state event path allocation free (pinned
 //! by the `alloc_free_steady_state` integration test).
 
-mod shard;
-
 use crate::report::{EventOutcome, NodeReport, RunReport};
 use crate::scenario::{MobilityKind, ProtocolKind, PublisherChoice, Scenario, ScenarioError};
 use frugal::{
@@ -82,9 +80,8 @@ struct PendingFrame {
 
 /// Everything the event loop can be asked to do. Node and frame references
 /// are 32-bit ([`NodeId`] and a frame-slot index), keeping the scheduler's
-/// event payloads dense (and `Copy`, so the sharded engine can segment a
-/// drained batch without consuming it).
-#[derive(Debug, Clone, Copy)]
+/// event payloads dense.
+#[derive(Debug)]
 enum WorldEvent {
     /// Advance every node's position by one mobility tick.
     MobilityTick,
@@ -162,22 +159,6 @@ impl SchedulerQueue {
         }
     }
 
-    /// Like `pop_due_batch`, but guaranteed never to advance the wheel's
-    /// floor past `cap` — the adaptive-lookahead drain probes the due horizon
-    /// with this so that events scheduled *during* the widened window (timer
-    /// re-arms landing past the cap) are never clamped forward. See
-    /// [`TimerWheel::pop_due_batch_capped`].
-    fn pop_due_batch_capped(
-        &mut self,
-        cap: SimTime,
-        out: &mut Vec<(EventHandle, WorldEvent)>,
-    ) -> Option<SimTime> {
-        match self {
-            SchedulerQueue::Wheel(queue) => queue.pop_due_batch_capped(cap, out),
-            SchedulerQueue::Heap(queue) => queue.pop_due_batch_capped(cap, out),
-        }
-    }
-
     fn clear(&mut self) {
         match self {
             SchedulerQueue::Wheel(queue) => queue.clear(),
@@ -200,21 +181,6 @@ enum MobilityPath {
     /// The original reference: advance every node unconditionally on every
     /// tick — O(nodes) full advances per tick.
     Naive,
-}
-
-/// Observability counters for the sharded engine's adaptive optimizations
-/// (see [`World::debug_stats`]). They measure engagement, not results: runs
-/// are bit-identical whether or not the counters advance.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct WorldDebugStats {
-    /// Conservative windows widened past one timestamp (≥ 2 batches fused
-    /// into a single worker round-trip).
-    pub windows_widened: u64,
-    /// Total timestamp batches executed inside widened windows.
-    pub batches_fused: u64,
-    /// Cost-informed repartition passes evaluated between stepping epochs
-    /// (boundaries move only when the measured cost is skewed).
-    pub repartitions: u64,
 }
 
 /// The complete state of one simulation run.
@@ -290,36 +256,6 @@ pub struct World {
     /// `resolve_publisher(RandomSubscriber)` allocates nothing per
     /// publication event; rebuilt by every populate/reset.
     subscriber_cache: Vec<usize>,
-    /// How many worker shards `run_until` splits the node population across
-    /// (1 = the single-threaded reference path). Like the scheduler and
-    /// mobility toggles, the choice survives [`World::reset`].
-    shards: usize,
-    /// Set by [`World::set_single_shard`]: forces the single-threaded
-    /// reference path regardless of the shard knob.
-    force_single_shard: bool,
-    /// True while **no transmission can exist**: no publication has been
-    /// dispatched and no broadcast has ever been committed this run. While it
-    /// holds, the sharded engine may widen its conservative window past the
-    /// radio lookahead (see `world::shard`): every frame slot is provably
-    /// free and the statically-quiet timer kinds cannot start traffic.
-    /// Cleared permanently (until the next populate) by the first publish
-    /// dispatch or broadcast commit — monotone, so checking it is race-free.
-    traffic_free: bool,
-    /// Set by [`World::set_fixed_lookahead`]: pins the sharded engine to the
-    /// reference one-timestamp-per-window stepping. Survives [`World::reset`].
-    fixed_lookahead: bool,
-    /// Set by [`World::set_classify_work_stealing`]: large reception-classify
-    /// fan-outs are claimed in chunks from a shared cursor instead of being
-    /// split into fixed contiguous ranges. Survives [`World::reset`].
-    classify_stealing: bool,
-    /// Per-node work accumulators (EWMA at repartition granularity): workers
-    /// add one unit per mobility advance, fired protocol callback and
-    /// delivered message; the engine's periodic repartition feeds them to
-    /// [`simkit::BoundaryPartition::rebalance`] and then halves them. Only
-    /// wall-clock balance depends on these — never results.
-    node_cost: Vec<f32>,
-    /// Engagement counters for the adaptive paths; zeroed by every populate.
-    stats: WorldDebugStats,
 }
 
 impl World {
@@ -364,13 +300,6 @@ impl World {
             outcome_scratch: Vec::new(),
             batch_scratch: Vec::new(),
             subscriber_cache: Vec::new(),
-            shards: 1,
-            force_single_shard: false,
-            traffic_free: true,
-            fixed_lookahead: false,
-            classify_stealing: false,
-            node_cost: Vec::new(),
-            stats: WorldDebugStats::default(),
         };
         world.populate(seed);
         Ok(world)
@@ -533,12 +462,6 @@ impl World {
         // subscriber index behind `PublisherChoice::RandomSubscriber`.
         self.timer_slots.clear();
         self.timer_slots.resize(n, [None; TimerKind::COUNT]);
-        // No publication has run and no broadcast exists yet; the per-node
-        // cost accumulators and engagement counters restart with the run.
-        self.traffic_free = true;
-        self.node_cost.clear();
-        self.node_cost.resize(n, 0.0);
-        self.stats = WorldDebugStats::default();
         self.subscriber_cache.clear();
         self.subscriber_cache
             .extend((0..n).filter(|index| subscriber_indices.contains(index)));
@@ -654,115 +577,6 @@ impl World {
         }
     }
 
-    /// Splits the event loop's per-node work across `shards` worker threads
-    /// (clamped to at least 1; 1 keeps the classic single-threaded loop).
-    /// Sharded runs are **bit-identical** to single-threaded ones — same
-    /// reports, same RNG streams — because every random draw and every
-    /// scheduler mutation stays in the sequential dispatch order; only the
-    /// pure per-node work (mobility integration, protocol callbacks,
-    /// reception classification) runs concurrently inside each conservative
-    /// time window (see [`World::lookahead`] and the `world::shard` module).
-    /// Like the scheduler and mobility toggles, the choice survives
-    /// [`World::reset`].
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
-    }
-
-    /// The configured shard count (see [`World::set_shards`]).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Forces the single-threaded reference event loop regardless of the
-    /// shard knob. Semantically identical to the sharded path (the shard
-    /// equivalence suite pins whole-run reports bit-identical at 1/2/4/8
-    /// shards); kept, like `set_heap_queue`/`set_scan_mobility`, so tests and
-    /// benchmarks can pick the reference explicitly. `false` restores the
-    /// configured shard count. Survives [`World::reset`].
-    #[doc(hidden)]
-    pub fn set_single_shard(&mut self, single: bool) {
-        self.force_single_shard = single;
-    }
-
-    /// Pins the sharded engine to the reference stepping that forks and joins
-    /// exactly one same-timestamp batch per window, disabling the adaptive
-    /// widened windows. Semantically identical to the default adaptive path
-    /// (the shard equivalence suite pins whole-run reports bit-identical);
-    /// kept, like `set_single_shard`, so tests and the `shard_scaling`
-    /// benchmark can pick the reference explicitly. `false` restores the
-    /// adaptive default. Survives [`World::reset`].
-    #[doc(hidden)]
-    pub fn set_fixed_lookahead(&mut self, fixed: bool) {
-        self.fixed_lookahead = fixed;
-    }
-
-    /// Opts the sharded engine into work-stealing for large
-    /// reception-classify fan-outs: receiver chunks are claimed from a shared
-    /// cursor instead of being pre-split into fixed contiguous ranges, so a
-    /// spatially-skewed receiver set no longer leaves most shards idle behind
-    /// the densest one. Results are bit-identical either way (chunks are
-    /// reassembled in index order before the sequential resolve); default off
-    /// because the shared cursor costs more than it saves on uniform
-    /// workloads. Survives [`World::reset`].
-    pub fn set_classify_work_stealing(&mut self, steal: bool) {
-        self.classify_stealing = steal;
-    }
-
-    /// Engagement counters of the sharded engine's adaptive paths (widened
-    /// windows, fused batches, repartition passes) for the run so far. Zeroed
-    /// by [`World::reset`]; purely observational.
-    pub fn debug_stats(&self) -> WorldDebugStats {
-        self.stats
-    }
-
-    /// The per-timer-kind quiet bound used by the adaptive window: entry
-    /// `kind.index()` is `Some(d)` iff firing that kind while `traffic_free`
-    /// holds is **provably quiet** — it emits no broadcast, touches no other
-    /// node and mutates the schedule only by re-arming itself at least `d`
-    /// after its own timestamp. `None` marks kinds that may broadcast or arm other timers;
-    /// a batch containing one ends the widened window.
-    ///
-    /// The table is derived statically from the protocol kind:
-    ///
-    /// * **Flooding** (all policies): `FloodTick` with an empty event store —
-    ///   guaranteed while no publish/broadcast ever happened — only prunes
-    ///   and re-arms at the fixed flood interval. Every other kind is
-    ///   conservative `None` (`Heartbeat` broadcasts under NeighborInterest;
-    ///   the rest are never armed by the baselines).
-    /// * **Frugal**: all `None`. Subscribing already broadcasts, so a frugal
-    ///   run leaves `traffic_free` within the first stagger window and the
-    ///   entries would be dead code; keeping them `None` means the window
-    ///   logic never needs the frugal timer semantics to be re-proven.
-    fn quiet_timer_bounds(&self) -> [Option<SimDuration>; TimerKind::COUNT] {
-        let mut bounds = [None; TimerKind::COUNT];
-        if matches!(self.scenario.protocol, ProtocolKind::Flooding(_)) {
-            bounds[TimerKind::FloodTick.index()] = Some(FloodingProtocol::PAPER_FLOOD_INTERVAL);
-        }
-        bounds
-    }
-
-    /// The conservative lookahead of parallel simulation for this scenario:
-    /// the minimum virtual time between a node's send decision and any other
-    /// node's reception ([`netsim::RadioConfig::min_latency`] — propagation is
-    /// instantaneous, so this is the air time of the smallest frame, one
-    /// clock millisecond). A frame begun inside one time window of this width
-    /// cannot be heard inside it, so windows of this width can be advanced
-    /// without cross-shard causality violations; with a 1 ms clock the window
-    /// degenerates to exactly one same-timestamp event batch, which is the
-    /// unit the sharded engine forks and joins on.
-    pub fn lookahead(&self) -> SimDuration {
-        self.scenario.radio.min_latency()
-    }
-
-    /// The shard count `run_until` will actually use this run.
-    fn effective_shards(&self) -> usize {
-        if self.force_single_shard {
-            1
-        } else {
-            self.shards.min(self.nodes.len().max(1))
-        }
-    }
-
     /// Runs the simulation to the end of the scenario and returns the report.
     pub fn run(mut self) -> RunReport {
         self.run_mut()
@@ -789,10 +603,6 @@ impl World {
     /// window, and assert over just the steady-state slice; a single
     /// `run_until(end)` is exactly [`World::run_mut`] minus the report.
     pub fn run_until(&mut self, deadline: SimTime) {
-        if self.effective_shards() > 1 && self.mobility_path == MobilityPath::EventDriven {
-            self.run_until_sharded(deadline);
-            return;
-        }
         let deadline = deadline.min(self.end);
         let mut batch = std::mem::take(&mut self.batch_scratch);
         while let Some(at) = self.queue.peek_time() {
@@ -1030,11 +840,6 @@ impl World {
     }
 
     fn on_publish(&mut self, index: u32) {
-        // A published event can ride any later quiet timer (an empty-store
-        // FloodTick starts broadcasting once the store fills), so the
-        // traffic-free window closes at the publish dispatch, not at the
-        // first broadcast.
-        self.traffic_free = false;
         let publication = self.scenario.publications[index as usize].clone();
         let publisher = self.resolve_publisher(publication.publisher);
         let now = self.now;
@@ -1066,12 +871,21 @@ impl World {
     }
 
     fn resolve_publisher(&mut self, choice: PublisherChoice) -> usize {
-        resolve_publisher_with(
-            choice,
-            self.nodes.len(),
-            &self.subscriber_cache,
-            &mut self.mac_rng,
-        )
+        match choice {
+            PublisherChoice::Node(index) => index.min(self.nodes.len() - 1),
+            PublisherChoice::RandomAny => self.mac_rng.index(self.nodes.len()),
+            PublisherChoice::RandomSubscriber => {
+                // The ascending subscriber index is cached by populate (and
+                // therefore refreshed on every reset): resolving a random
+                // subscriber allocates nothing per publication event.
+                if self.subscriber_cache.is_empty() {
+                    self.mac_rng.index(self.nodes.len())
+                } else {
+                    let pick = self.mac_rng.index(self.subscriber_cache.len());
+                    self.subscriber_cache[pick]
+                }
+            }
+        }
     }
 
     /// Drains `out` (the world's reusable action buffer, refilled by the
@@ -1079,17 +893,51 @@ impl World {
     /// buffer comes back empty — with its capacity and message-vector pools
     /// intact — ready for the next event.
     fn apply_actions(&mut self, node: NodeId, out: &mut ActionBuf) {
-        ActionSink {
-            queue: &mut self.queue,
-            frames: &mut self.frames,
-            free_frames: &mut self.free_frames,
-            timer_slots: &mut self.timer_slots,
-            mac_rng: &mut self.mac_rng,
-            max_jitter: self.scenario.radio.max_contention_jitter,
-            now: self.now,
-            traffic_free: &mut self.traffic_free,
+        for action in out.drain() {
+            match action {
+                Action::Broadcast(message) => {
+                    let jitter = self
+                        .mac_rng
+                        .jitter(self.scenario.radio.max_contention_jitter);
+                    let pending = PendingFrame {
+                        sender: node,
+                        message,
+                    };
+                    let frame = match self.free_frames.pop() {
+                        Some(slot) => {
+                            self.frames[slot as usize] = Some(pending);
+                            slot
+                        }
+                        None => {
+                            let slot =
+                                u32::try_from(self.frames.len()).expect("frame slab exceeds u32");
+                            self.frames.push(Some(pending));
+                            slot
+                        }
+                    };
+                    self.queue
+                        .schedule(self.now + jitter, WorldEvent::TxStart { frame });
+                }
+                Action::Deliver(_) => {
+                    // Delivery bookkeeping lives in the protocol metrics; the
+                    // world has nothing extra to do.
+                }
+                Action::SetTimer { kind, after } => {
+                    if let Some(handle) = self.timer_slots[node.index()][kind.index()].take() {
+                        self.queue.cancel(handle);
+                    }
+                    let handle = self
+                        .queue
+                        .schedule(self.now + after, WorldEvent::Timer { node, kind });
+                    self.timer_slots[node.index()][kind.index()] = Some(handle);
+                }
+                Action::CancelTimer(kind) => {
+                    if let Some(handle) = self.timer_slots[node.index()][kind.index()].take() {
+                        self.queue.cancel(handle);
+                    }
+                }
+            }
         }
-        .apply(node, out);
     }
 
     fn report(&self) -> RunReport {
@@ -1161,98 +1009,6 @@ impl World {
             seed: self.seed,
             events,
             nodes,
-        }
-    }
-}
-
-/// The world-side state an action commit mutates, borrowed together so the
-/// single-threaded dispatcher and the sharded engine (which cannot borrow the
-/// whole `World`) run one implementation. Every call consumes MAC randomness
-/// and scheduler sequence numbers, so callers must invoke it in exactly the
-/// sequential dispatch order to keep runs bit-identical.
-struct ActionSink<'a> {
-    queue: &'a mut SchedulerQueue,
-    frames: &'a mut Vec<Option<PendingFrame>>,
-    free_frames: &'a mut Vec<u32>,
-    timer_slots: &'a mut [[Option<EventHandle>; TimerKind::COUNT]],
-    mac_rng: &'a mut SimRng,
-    max_jitter: SimDuration,
-    now: SimTime,
-    /// Cleared on the first broadcast: from here on transmissions may exist,
-    /// so the adaptive window must stop widening (see `World::traffic_free`).
-    traffic_free: &'a mut bool,
-}
-
-impl ActionSink<'_> {
-    /// See [`World::apply_actions`].
-    fn apply(&mut self, node: NodeId, out: &mut ActionBuf) {
-        for action in out.drain() {
-            match action {
-                Action::Broadcast(message) => {
-                    *self.traffic_free = false;
-                    let jitter = self.mac_rng.jitter(self.max_jitter);
-                    let pending = PendingFrame {
-                        sender: node,
-                        message,
-                    };
-                    let frame = match self.free_frames.pop() {
-                        Some(slot) => {
-                            self.frames[slot as usize] = Some(pending);
-                            slot
-                        }
-                        None => {
-                            let slot =
-                                u32::try_from(self.frames.len()).expect("frame slab exceeds u32");
-                            self.frames.push(Some(pending));
-                            slot
-                        }
-                    };
-                    self.queue
-                        .schedule(self.now + jitter, WorldEvent::TxStart { frame });
-                }
-                Action::Deliver(_) => {
-                    // Delivery bookkeeping lives in the protocol metrics; the
-                    // world has nothing extra to do.
-                }
-                Action::SetTimer { kind, after } => {
-                    if let Some(handle) = self.timer_slots[node.index()][kind.index()].take() {
-                        self.queue.cancel(handle);
-                    }
-                    let handle = self
-                        .queue
-                        .schedule(self.now + after, WorldEvent::Timer { node, kind });
-                    self.timer_slots[node.index()][kind.index()] = Some(handle);
-                }
-                Action::CancelTimer(kind) => {
-                    if let Some(handle) = self.timer_slots[node.index()][kind.index()].take() {
-                        self.queue.cancel(handle);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// See [`World::resolve_publisher`] — shared with the sharded engine.
-fn resolve_publisher_with(
-    choice: PublisherChoice,
-    node_count: usize,
-    subscriber_cache: &[usize],
-    mac_rng: &mut SimRng,
-) -> usize {
-    match choice {
-        PublisherChoice::Node(index) => index.min(node_count - 1),
-        PublisherChoice::RandomAny => mac_rng.index(node_count),
-        PublisherChoice::RandomSubscriber => {
-            // The ascending subscriber index is cached by populate (and
-            // therefore refreshed on every reset): resolving a random
-            // subscriber allocates nothing per publication event.
-            if subscriber_cache.is_empty() {
-                mac_rng.index(node_count)
-            } else {
-                let pick = mac_rng.index(subscriber_cache.len());
-                subscriber_cache[pick]
-            }
         }
     }
 }

@@ -89,7 +89,7 @@ pub enum ReceptionOutcome {
 /// [`CompletionSnapshot::classify`], turned into a [`ReceptionOutcome`] (and
 /// counter updates) by [`RadioMedium::resolve_classified`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReceptionClass {
+enum ReceptionClass {
     /// The receiver was itself on the air during the frame (half duplex).
     SelfBusy,
     /// Another transmission audible at the receiver overlapped the frame.
@@ -110,13 +110,10 @@ struct OverlapTx {
 }
 
 /// A completed transmission detached from the medium, together with the set of
-/// transmissions that overlapped it in time. The receiver-independent half of
-/// reception resolution: [`CompletionSnapshot::classify`] is pure (`&self`, no
-/// RNG), so a caller may classify many candidate receivers concurrently and
-/// then feed the classes back through [`RadioMedium::resolve_classified`] in
-/// ascending node order for bit-identical outcomes, counters and RNG use.
+/// transmissions that overlapped it in time: the receiver-independent half of
+/// reception resolution, shared by the grid and brute-force completion paths.
 #[derive(Debug, Clone, Default)]
-pub struct CompletionSnapshot {
+struct CompletionSnapshot {
     sender: usize,
     position: Point,
     payload_bytes: usize,
@@ -124,30 +121,10 @@ pub struct CompletionSnapshot {
 }
 
 impl CompletionSnapshot {
-    /// The transmitting node.
-    pub fn sender(&self) -> usize {
-        self.sender
-    }
-
-    /// Where the frame was transmitted from.
-    pub fn position(&self) -> Point {
-        self.position
-    }
-
-    /// Payload size of the frame in bytes (excluding per-frame overhead).
-    pub fn payload_bytes(&self) -> usize {
-        self.payload_bytes
-    }
-
-    /// Number of transmissions that overlapped this frame in time.
-    pub fn overlap_count(&self) -> usize {
-        self.overlaps.len()
-    }
-
     /// Classifies reception of this frame at `receiver` located at `rx_pos`.
     /// Returns `None` when the receiver is the sender or out of range (no
     /// outcome is recorded for it at all).
-    pub fn classify(
+    fn classify(
         &self,
         config: &RadioConfig,
         receiver: usize,
@@ -415,15 +392,11 @@ impl RadioMedium {
 
     /// Marks `tx` completed and captures it into `out` together with every
     /// transmission that overlapped it in time. `out` is fully overwritten.
-    /// The snapshot half of completion: pair it with
-    /// [`CompletionSnapshot::classify`] per candidate receiver (any order, any
-    /// thread) and [`RadioMedium::resolve_classified`] in ascending node order
-    /// to get exactly what [`RadioMedium::complete_transmission_into`] does.
     ///
     /// # Panics
     ///
     /// Panics if `tx` is unknown or already completed.
-    pub fn begin_completion(&mut self, tx: TxId, out: &mut CompletionSnapshot) {
+    fn begin_completion(&mut self, tx: TxId, out: &mut CompletionSnapshot) {
         let idx = *self.tx_index.get(&tx).expect("unknown transmission id");
         assert!(
             !self.transmissions[idx].completed,
@@ -445,13 +418,6 @@ impl RadioMedium {
                     position: t.position,
                 }),
         );
-    }
-
-    /// Grid neighborhood query at the medium's radio range: appends every node
-    /// within range of `position` (plus some of the surrounding cells) to
-    /// `out` in ascending node index. `out` is **not** cleared first.
-    pub fn neighbors_into(&self, position: Point, out: &mut Vec<usize>) {
-        self.grid.query_into(position, self.config.range_m, out);
     }
 
     /// Classifies and resolves each of `receivers` (ascending node index)
@@ -479,7 +445,7 @@ impl RadioMedium {
     /// receiver's traffic counters. Callers resolving one frame at several
     /// receivers must do so in ascending node index to keep the RNG stream —
     /// and therefore whole-simulation reports — deterministic.
-    pub fn resolve_classified(
+    fn resolve_classified(
         &mut self,
         snapshot: &CompletionSnapshot,
         receiver: usize,

@@ -56,250 +56,6 @@ impl From<NodeId> for usize {
     }
 }
 
-/// A balanced partition of the dense node-index space `0..total` into
-/// contiguous shard ranges, for splitting a world's per-node arrays across
-/// worker threads.
-///
-/// The first `total % shards` shards hold one extra node, so shard sizes
-/// differ by at most one. Because ranges are contiguous and ascending, any
-/// ascending list of node indices decomposes into at most one contiguous run
-/// per shard — which is what lets a sharded simulator both split its
-/// structure-of-arrays state with `split_at_mut` and merge per-shard results
-/// back in ascending node order by walking shards in order.
-///
-/// The requested shard count is clamped so no shard is empty (at most one
-/// shard per node, at least one shard overall).
-///
-/// # Examples
-///
-/// ```
-/// use simkit::ShardPartition;
-///
-/// let part = ShardPartition::new(10, 4);
-/// assert_eq!(part.len(), 4);
-/// assert_eq!(part.range(0), 0..3); // 10 = 3 + 3 + 2 + 2
-/// assert_eq!(part.range(2), 6..8);
-/// assert_eq!(part.owner(6), 2);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardPartition {
-    total: usize,
-    shards: usize,
-    /// Size of the shards that carry the remainder node (`base + 1`).
-    base: usize,
-    /// Number of leading shards that hold `base + 1` nodes.
-    carry: usize,
-}
-
-impl ShardPartition {
-    /// Partitions `0..total` into `shards` contiguous ranges, clamped to
-    /// `1..=max(total, 1)` shards so every shard is non-empty.
-    pub fn new(total: usize, shards: usize) -> Self {
-        let shards = shards.clamp(1, total.max(1));
-        ShardPartition {
-            total,
-            shards,
-            base: total / shards,
-            carry: total % shards,
-        }
-    }
-
-    /// Number of shards (after clamping).
-    pub fn len(&self) -> usize {
-        self.shards
-    }
-
-    /// Always false: a partition holds at least one shard. Present only to
-    /// pair with [`ShardPartition::len`].
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Number of node indices partitioned.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// The contiguous index range owned by `shard`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= len()`.
-    pub fn range(&self, shard: usize) -> std::ops::Range<usize> {
-        assert!(shard < self.shards, "shard {shard} out of range");
-        let start = if shard <= self.carry {
-            shard * (self.base + 1)
-        } else {
-            self.carry * (self.base + 1) + (shard - self.carry) * self.base
-        };
-        let width = if shard < self.carry {
-            self.base + 1
-        } else {
-            self.base
-        };
-        start..start + width
-    }
-
-    /// The shard owning node index `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= total()`.
-    pub fn owner(&self, index: usize) -> usize {
-        assert!(index < self.total, "node index {index} out of range");
-        let fat = self.carry * (self.base + 1);
-        if index < fat {
-            index / (self.base + 1)
-        } else {
-            self.carry + (index - fat) / self.base
-        }
-    }
-}
-
-/// A contiguous partition of `0..total` with **explicit, movable shard
-/// boundaries**, for cost-balanced sharding.
-///
-/// [`ShardPartition`] computes its ranges arithmetically and can therefore
-/// only express equal-size splits. `BoundaryPartition` stores the boundary
-/// vector instead, so a scheduler that measures per-node work can call
-/// [`BoundaryPartition::rebalance`] between stepping epochs and move the
-/// boundaries toward equal *cost* rather than equal *count* — while keeping
-/// every structural invariant the sharded engine relies on: ranges are
-/// contiguous, ascending, cover `0..total` exactly once, and (population
-/// permitting) no shard is empty, so ascending node lists still decompose
-/// into at most one run per shard and per-shard results still concatenate
-/// back in ascending node order.
-///
-/// [`BoundaryPartition::balanced`] produces exactly the ranges
-/// `ShardPartition::new` would, so a partition that never rebalances behaves
-/// identically to the fixed one.
-///
-/// # Examples
-///
-/// ```
-/// use simkit::BoundaryPartition;
-///
-/// let mut part = BoundaryPartition::balanced(6, 2);
-/// assert_eq!(part.range(0), 0..3);
-/// // Most of the measured work lives in the first two nodes: the boundary
-/// // moves so each shard carries roughly half the total cost.
-/// assert!(part.rebalance(&[8.0, 8.0, 1.0, 1.0, 1.0, 1.0]));
-/// assert_eq!(part.range(0), 0..2);
-/// assert_eq!(part.range(1), 2..6);
-/// assert_eq!(part.owner(1), 0);
-/// assert_eq!(part.owner(2), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BoundaryPartition {
-    /// `len() + 1` ascending fenceposts: `bounds[s]..bounds[s + 1]` is shard
-    /// `s`; `bounds[0] == 0` and `bounds[len()] == total`.
-    bounds: Vec<usize>,
-}
-
-impl BoundaryPartition {
-    /// Builds the equal-count partition of `0..total` into `shards` ranges —
-    /// boundary-for-boundary identical to `ShardPartition::new(total, shards)`
-    /// (the shard count is clamped the same way).
-    pub fn balanced(total: usize, shards: usize) -> Self {
-        let fixed = ShardPartition::new(total, shards);
-        let mut bounds = Vec::with_capacity(fixed.len() + 1);
-        bounds.push(0);
-        bounds.extend((0..fixed.len()).map(|shard| fixed.range(shard).end));
-        BoundaryPartition { bounds }
-    }
-
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.bounds.len() - 1
-    }
-
-    /// Always false: a partition holds at least one shard.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Number of node indices partitioned.
-    pub fn total(&self) -> usize {
-        *self.bounds.last().expect("bounds hold at least two posts")
-    }
-
-    /// The contiguous index range owned by `shard`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= len()`.
-    pub fn range(&self, shard: usize) -> std::ops::Range<usize> {
-        assert!(shard < self.len(), "shard {shard} out of range");
-        self.bounds[shard]..self.bounds[shard + 1]
-    }
-
-    /// The shard owning node index `index` (binary search over the
-    /// boundaries — the shard count is small, so this is a handful of
-    /// compares).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= total()`.
-    pub fn owner(&self, index: usize) -> usize {
-        assert!(index < self.total(), "node index {index} out of range");
-        self.bounds.partition_point(|&post| post <= index) - 1
-    }
-
-    /// Moves the shard boundaries toward equal per-shard **cost**: shard `s`
-    /// gets the maximal prefix of the remaining nodes whose cumulative cost
-    /// stays below `s + 1` equal shares of the total (always at least one
-    /// node, and never so many that a later shard would go empty). Returns
-    /// `true` if any boundary moved.
-    ///
-    /// The split is a deterministic function of `cost` alone, and — because
-    /// boundaries only redistribute *which shard advances which nodes*, never
-    /// the order the coordinator commits their results in — rebalancing can
-    /// never change simulation results, only wall-clock balance.
-    ///
-    /// Zero or negative totals (no work measured yet) leave the partition
-    /// untouched and return `false`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cost.len() != total()`.
-    pub fn rebalance(&mut self, cost: &[f32]) -> bool {
-        let total = self.total();
-        assert_eq!(cost.len(), total, "one cost entry per node");
-        let shards = self.len();
-        if shards <= 1 || total == 0 {
-            return false;
-        }
-        let total_cost: f64 = cost.iter().map(|&c| f64::from(c)).sum();
-        if total_cost <= 0.0 {
-            return false;
-        }
-        let share = total_cost / shards as f64;
-        let mut changed = false;
-        let mut acc = 0.0f64;
-        let mut cursor = 0usize;
-        for shard in 0..shards - 1 {
-            // This shard keeps at least one node, and leaves at least one for
-            // every shard after it.
-            let min_end = cursor + 1;
-            let max_end = total - (shards - shard - 1);
-            while cursor < min_end {
-                acc += f64::from(cost[cursor]);
-                cursor += 1;
-            }
-            let target = share * (shard + 1) as f64;
-            while cursor < max_end && acc < target {
-                acc += f64::from(cost[cursor]);
-                cursor += 1;
-            }
-            if self.bounds[shard + 1] != cursor {
-                self.bounds[shard + 1] = cursor;
-                changed = true;
-            }
-        }
-        changed
-    }
-}
-
 /// A fixed-stride bitset over `u64` words: membership in one load+mask.
 ///
 /// Grows on demand (in whole words) and never shrinks, so a warmed set
@@ -420,146 +176,6 @@ impl FromIterator<usize> for BitSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_partition_covers_every_index_exactly_once() {
-        for total in [0usize, 1, 2, 7, 10, 64, 100, 101] {
-            for shards in [1usize, 2, 3, 4, 8, 200] {
-                let part = ShardPartition::new(total, shards);
-                assert!(!part.is_empty() && part.len() <= shards.max(1));
-                assert_eq!(part.total(), total);
-                let mut next = 0;
-                for shard in 0..part.len() {
-                    let range = part.range(shard);
-                    assert_eq!(range.start, next, "ranges must be contiguous");
-                    assert!(total == 0 || !range.is_empty(), "no shard may be empty");
-                    for index in range.clone() {
-                        assert_eq!(part.owner(index), shard);
-                    }
-                    next = range.end;
-                }
-                assert_eq!(next, total, "ranges must cover 0..total");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_partition_is_balanced() {
-        let part = ShardPartition::new(1003, 8);
-        let sizes: Vec<usize> = (0..part.len()).map(|s| part.range(s).len()).collect();
-        let min = *sizes.iter().min().unwrap();
-        let max = *sizes.iter().max().unwrap();
-        assert!(max - min <= 1, "sizes differ by more than one: {sizes:?}");
-        assert_eq!(sizes.iter().sum::<usize>(), 1003);
-    }
-
-    #[test]
-    fn shard_partition_clamps_to_population() {
-        let part = ShardPartition::new(3, 16);
-        assert_eq!(part.len(), 3);
-        let empty = ShardPartition::new(0, 4);
-        assert_eq!(empty.len(), 1);
-        assert_eq!(empty.range(0), 0..0);
-        assert!(!empty.is_empty());
-    }
-
-    /// Asserts every structural invariant the sharded engine relies on:
-    /// contiguous ascending ranges covering `0..total` exactly once, no empty
-    /// shard when the population allows, `owner` consistent with `range`.
-    fn assert_partition_invariants(part: &BoundaryPartition) {
-        let total = part.total();
-        let mut next = 0;
-        for shard in 0..part.len() {
-            let range = part.range(shard);
-            assert_eq!(range.start, next, "ranges must be contiguous");
-            assert!(total == 0 || !range.is_empty(), "no shard may be empty");
-            for index in range.clone() {
-                assert_eq!(part.owner(index), shard);
-            }
-            next = range.end;
-        }
-        assert_eq!(next, total, "ranges must cover 0..total");
-    }
-
-    #[test]
-    fn boundary_partition_balanced_matches_shard_partition() {
-        for total in [0usize, 1, 2, 7, 10, 64, 100, 101, 1003] {
-            for shards in [1usize, 2, 3, 4, 8, 200] {
-                let fixed = ShardPartition::new(total, shards);
-                let part = BoundaryPartition::balanced(total, shards);
-                assert!(!part.is_empty());
-                assert_eq!(part.len(), fixed.len());
-                assert_eq!(part.total(), total);
-                for shard in 0..fixed.len() {
-                    assert_eq!(part.range(shard), fixed.range(shard));
-                }
-                assert_partition_invariants(&part);
-            }
-        }
-    }
-
-    #[test]
-    fn boundary_partition_rebalance_equalizes_cost() {
-        let mut part = BoundaryPartition::balanced(8, 2);
-        assert_eq!(part.range(0), 0..4);
-        // All the work sits in the first two nodes: shard 0 shrinks to them.
-        let cost = [10.0f32, 10.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5];
-        assert!(part.rebalance(&cost));
-        assert_eq!(part.range(0), 0..2);
-        assert_eq!(part.range(1), 2..8);
-        assert_partition_invariants(&part);
-        // A second pass with the same costs is a fixed point.
-        assert!(!part.rebalance(&cost));
-    }
-
-    #[test]
-    fn boundary_partition_rebalance_keeps_every_shard_nonempty() {
-        // One node carries all the cost: every other shard still gets a node.
-        let mut part = BoundaryPartition::balanced(6, 4);
-        let mut cost = [0.0f32; 6];
-        cost[0] = 100.0;
-        part.rebalance(&cost);
-        assert_partition_invariants(&part);
-        for shard in 0..part.len() {
-            assert!(!part.range(shard).is_empty());
-        }
-        // Same with the cost at the far end.
-        let mut part = BoundaryPartition::balanced(6, 4);
-        let mut cost = [0.0f32; 6];
-        cost[5] = 100.0;
-        part.rebalance(&cost);
-        assert_partition_invariants(&part);
-        for shard in 0..part.len() {
-            assert!(!part.range(shard).is_empty());
-        }
-    }
-
-    #[test]
-    fn boundary_partition_rebalance_ignores_empty_cost() {
-        let mut part = BoundaryPartition::balanced(10, 4);
-        let before = part.clone();
-        assert!(
-            !part.rebalance(&[0.0; 10]),
-            "zero total cost must be a no-op"
-        );
-        assert_eq!(part, before);
-        let mut single = BoundaryPartition::balanced(10, 1);
-        assert!(
-            !single.rebalance(&[1.0; 10]),
-            "one shard has nothing to move"
-        );
-    }
-
-    #[test]
-    fn boundary_partition_rebalance_uniform_cost_stays_balanced() {
-        let mut part = BoundaryPartition::balanced(1003, 8);
-        part.rebalance(&vec![1.0f32; 1003]);
-        assert_partition_invariants(&part);
-        let sizes: Vec<usize> = (0..part.len()).map(|s| part.range(s).len()).collect();
-        let min = *sizes.iter().min().unwrap();
-        let max = *sizes.iter().max().unwrap();
-        assert!(max - min <= 1, "uniform cost must stay balanced: {sizes:?}");
-    }
 
     #[test]
     fn node_id_round_trips_through_index() {

@@ -14,9 +14,8 @@
 //!   ([`EventQueue`]);
 //! * [`rng`] — deterministic, splittable random streams ([`SimRng`]) so every
 //!   experiment is reproducible from a single seed;
-//! * [`ids`] — dense 32-bit node ids ([`NodeId`]), bit-packed membership
-//!   sets ([`BitSet`]) and balanced contiguous index partitions
-//!   ([`ShardPartition`]) shared by the simulation layers;
+//! * [`ids`] — dense 32-bit node ids ([`NodeId`]) and bit-packed membership
+//!   sets ([`BitSet`]) shared by the simulation layers;
 //! * [`stats`] — streaming statistics ([`OnlineStats`]) for averaging the 30
 //!   runs per data point used throughout the paper's evaluation.
 //!
@@ -54,7 +53,7 @@ pub mod scheduler;
 pub mod stats;
 pub mod time;
 
-pub use ids::{BitSet, BoundaryPartition, NodeId, ShardPartition};
+pub use ids::{BitSet, NodeId};
 pub use rng::SimRng;
 pub use scheduler::{EventHandle, EventQueue, IndexedMinQueue, TimerWheel};
 pub use stats::{OnlineStats, Summary};

@@ -15,12 +15,6 @@ allocation counts and bytes/node figures under ``allocs``. Future perf PRs
 diff their numbers against this file to claim measured wins (the vendored
 criterion shim keeps no saved baselines of its own).
 
-Paired entries of the ``shard_scaling`` bench that differ only in the
-``sparse_adaptive`` / ``sparse_fixed`` label measure the adaptive-lookahead
-engine against its fixed-window reference on the same scenario; their
-fixed/adaptive ratio is derived here and stored under ``sparse_speedup``
-(> 1.0 means the widened windows won).
-
 Usage:
     python3 scripts/capture_bench_baseline.py [--budget-ms N] [--out FILE]
 
@@ -85,33 +79,19 @@ def main() -> int:
         sys.stderr.write("no alloc metric lines found (alloc_scaling bench missing?)\n")
         return 1
 
-    # Adaptive-vs-fixed lookahead pairs: every sparse_fixed entry with a
-    # matching sparse_adaptive entry yields a fixed/adaptive speedup ratio.
-    sparse_speedup = {}
-    for name, entry in benches.items():
-        if "/sparse_fixed/" not in name:
-            continue
-        twin = name.replace("/sparse_fixed/", "/sparse_adaptive/")
-        if twin in benches and benches[twin]["mean_ns_per_iter"] > 0:
-            point = name.split("/sparse_fixed/", 1)[1]
-            sparse_speedup[point] = round(
-                entry["mean_ns_per_iter"] / benches[twin]["mean_ns_per_iter"], 3)
-
     baseline = {
         "captured": datetime.date.today().isoformat(),
         "budget_ms": args.budget_ms,
         "host": {
             "machine": platform.machine(),
             "system": platform.system(),
-            # Parallel benches (seed pool, sharded world) are meaningless to
-            # compare across hosts with different core counts; record it.
+            # Parallel benches (the seed pool) are meaningless to compare
+            # across hosts with different core counts; record it.
             "cpus": os.cpu_count() or 1,
         },
         "benches": dict(sorted(benches.items())),
         "allocs": dict(sorted(allocs.items())),
     }
-    if sparse_speedup:
-        baseline["sparse_speedup"] = dict(sorted(sparse_speedup.items()))
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(baseline, handle, indent=2)
         handle.write("\n")

@@ -547,50 +547,6 @@ fn runner_reports_are_identical_across_thread_counts() {
     );
 }
 
-/// The sharded event loop (PR 7) must be invariant in the shard count:
-/// running any scenario at 2, 4 or 8 shards must reproduce, bit for bit, the
-/// single-threaded report — same outcomes, same RNG consumption, same
-/// counters. The suite reuses every golden-fingerprint scenario above, so a
-/// divergence pins the sharded engine against exactly the runs the earlier
-/// refactors pinned.
-#[test]
-fn sharded_worlds_reproduce_single_threaded_reports_at_every_shard_count() {
-    let scenarios = [
-        scenario(ProtocolKind::Frugal(ProtocolConfig::paper_default()), rw()),
-        scenario(
-            ProtocolKind::Flooding(FloodingPolicy::InterestAware),
-            MobilityKind::CityCampus,
-        ),
-        mobility_heavy_city(),
-        wake_heavy(ProtocolKind::Frugal(ProtocolConfig::paper_default())),
-        wake_heavy(ProtocolKind::Flooding(FloodingPolicy::Simple)),
-        timer_dense(ProtocolKind::Frugal(ProtocolConfig::paper_default())),
-        timer_dense(ProtocolKind::Flooding(FloodingPolicy::NeighborInterest)),
-        traffic_dense(ProtocolKind::Frugal(ProtocolConfig::paper_default())),
-        traffic_dense_moving(ProtocolKind::Frugal(ProtocolConfig::paper_default())),
-        traffic_dense_moving(ProtocolKind::Flooding(FloodingPolicy::Simple)),
-    ];
-    for s in scenarios {
-        for seed in [1u64, 2] {
-            let mut reference = World::new(s.clone(), seed).unwrap();
-            reference.set_single_shard(true);
-            let reference = reference.run();
-            for shards in [2usize, 4, 8] {
-                let mut world = World::new(s.clone(), seed).unwrap();
-                world.set_shards(shards);
-                let report = world.run();
-                assert_eq!(
-                    fingerprint(&report),
-                    fingerprint(&reference),
-                    "{} diverged at {shards} shards for seed {seed}",
-                    s.label
-                );
-                assert_eq!(report, reference);
-            }
-        }
-    }
-}
-
 #[test]
 fn mobility_models_are_deterministic_per_seed() {
     // Random waypoint.

@@ -188,7 +188,7 @@ fn zero_nodes_is_rejected() {
 }
 
 // ---------------------------------------------------------------------------
-// Sweep axes and the sharded-runner path.
+// Sweep axes and the multi-seed runner path.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -203,19 +203,21 @@ fn cli_sweep_axes_expand_the_matrix() {
 }
 
 #[test]
-fn compiled_scenario_runs_through_the_sharded_runner() {
+fn compiled_scenario_runs_through_the_seed_pool() {
     let matrix = compile_path(example("quickstart.toml"), &[]).unwrap();
-    let sharded = manet_sim::run_scenario_reports_sharded(
-        &matrix.points[0].scenario,
-        SeedPlan::new(42, 2),
-        2,
-        2,
-    )
-    .unwrap();
     let twin = quickstart_twin(ProtocolKind::Frugal(ProtocolConfig::paper_default()));
     let direct: Vec<_> = [42u64, 43]
         .iter()
         .map(|&seed| World::new(twin.clone(), seed).unwrap().run())
         .collect();
-    assert_eq!(sharded, direct);
+    for workers in [1usize, 2] {
+        let pooled = manet_sim::run_scenario_reports_with_workers(
+            &matrix.points[0].scenario,
+            SeedPlan::new(42, 2),
+            workers,
+            |_| {},
+        )
+        .unwrap();
+        assert_eq!(pooled, direct, "{workers}-worker run diverged");
+    }
 }
