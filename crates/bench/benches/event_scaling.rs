@@ -1,5 +1,4 @@
-//! Scaling of the event scheduler itself: the hierarchical timer wheel vs.
-//! the binary-heap reference.
+//! Scaling of the event scheduler itself: the hierarchical timer wheel.
 //!
 //! Builds timer-active populations of 1000/4000/10000 nodes — stationary,
 //! out of radio range of each other, running the simple-flooding protocol
@@ -7,20 +6,18 @@
 //! 60 s world run. After the first mobility tick nothing moves and nothing
 //! is ever received, so the run is almost purely scheduler work: one timer
 //! event per node per simulated second (600k pops at 10k nodes), each of
-//! which cancels nothing and re-arms one timer. The heap reference
-//! (`World::set_heap_queue`) pays O(log n) sift work per pop and per push;
-//! the wheel (default) schedules and cancels in O(1), drains same-timestamp
-//! batches from one staged slot, and keeps its handles in a recycled slab.
-//! The wheel must win and the gap must widen with the population (see
-//! `BENCH_BASELINE.json` for captured numbers); reports stay bit-identical
-//! (pinned by `tests/scheduler_equivalence.rs`).
+//! which cancels nothing and re-arms one timer. The wheel schedules and
+//! cancels in O(1), drains same-timestamp batches from one staged slot, and
+//! keeps its handles in a recycled slab, so the cost per event should stay
+//! flat as the population grows (see `BENCH_BASELINE.json` for captured
+//! numbers).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use frugal::FloodingPolicy;
 use manet_sim::{MobilityKind, ProtocolKind, Scenario, ScenarioBuilder, WorldArena};
 use mobility::Area;
 use netsim::RadioConfig;
-use simkit::{EventQueue, SimDuration, SimTime, TimerWheel};
+use simkit::{SimDuration, SimTime, TimerWheel};
 
 /// A scheduler-dominated scenario: every node beats its 1 s flood tick for
 /// the whole run, nobody hears anybody (10 m radio range scattered over a
@@ -47,24 +44,14 @@ fn bench_event_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_scaling");
     for &nodes in &[1000usize, 4000, 10000] {
         let scenario = timer_active(nodes);
-        // Both sides recycle world setup through an arena, so the measured
-        // difference is the scheduler cost alone.
+        // World setup is recycled through an arena, so the measurement is
+        // the run itself.
         let mut arena = WorldArena::new();
         let mut seed = 0u64;
         group.bench_function(format!("wheel/{nodes}"), |b| {
             b.iter(|| {
                 seed += 1;
                 let world = arena.checkout(&scenario, seed).expect("valid scenario");
-                world.run_mut().nodes.len()
-            });
-        });
-        let mut arena = WorldArena::new();
-        let mut seed = 0u64;
-        group.bench_function(format!("heap/{nodes}"), |b| {
-            b.iter(|| {
-                seed += 1;
-                let world = arena.checkout(&scenario, seed).expect("valid scenario");
-                world.set_heap_queue(true);
                 world.run_mut().nodes.len()
             });
         });
@@ -75,7 +62,7 @@ fn bench_event_scaling(c: &mut Criterion) {
 /// The same workload at the queue level, with the protocol stripped away:
 /// `nodes` periodic timers ~1 s apart, each pop immediately re-arming its
 /// timer one period later — the steady state of a timer-driven simulation.
-/// This isolates the scheduler cost that the whole-run groups above dilute
+/// This isolates the scheduler cost that the whole-run group above dilutes
 /// with per-event protocol work (callback allocation, RNG, node state).
 fn bench_queue_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue_churn");
@@ -98,22 +85,6 @@ fn bench_queue_churn(c: &mut Criterion) {
                         fired += 1;
                         wheel.schedule(at + SimDuration::from_secs(1), node);
                     }
-                }
-                black_box(fired)
-            });
-        });
-        group.bench_function(format!("heap/{nodes}"), |b| {
-            let mut heap = EventQueue::new();
-            b.iter(|| {
-                heap.clear();
-                for i in 0..nodes {
-                    heap.schedule(stagger(i), i);
-                }
-                let mut fired = 0usize;
-                while fired < nodes * 10 {
-                    let (at, node) = heap.pop().expect("timers never drain");
-                    fired += 1;
-                    heap.schedule(at + SimDuration::from_secs(1), node);
                 }
                 black_box(fired)
             });

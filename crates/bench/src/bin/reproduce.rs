@@ -24,12 +24,30 @@
 //! (repeatable; overrides a file axis sweeping the same parameter), and
 //! `--seeds` / `--first-seed` override the file's `[seeds]` section.
 //! `--workers` sets how many seeds run at once (default
-//! `available_parallelism()`); each world runs on one thread.
+//! `available_parallelism()`); each world runs on one thread. `--help` (or
+//! `-h`) prints the usage and exits.
 
 use manet_sim::experiments::{ablation, city, fig11, fig12, frugality};
 use manet_sim::{
     compile_path, run_scenario_reports_with_workers, DataTable, ExperimentPoint, SweepAxis,
 };
+
+const USAGE: &str = "\
+Usage:
+  reproduce [EXPERIMENT] [--paper] [--csv]
+  reproduce --scenario FILE.toml [--sweep param=v1,v2]... [--seeds N]
+            [--first-seed N] [--workers N] [--csv]
+
+EXPERIMENT is fig11 ... fig20, frugality (fig17-20), ablation or all (default).
+  --paper        full Section 5.1 methodology (slow); default is smoke scale
+  --csv          print CSV instead of Markdown
+  --scenario     compile and run a TOML scenario file
+  --sweep        add a sweep axis (repeatable)
+  --seeds        number of seeds per matrix point
+  --first-seed   first seed of the plan
+  --workers      seeds run at once (default: available cores)
+  -h, --help     print this help
+";
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Scale {
@@ -258,8 +276,7 @@ fn run_scenario_file(options: &ScenarioArgs, format: Format) {
         ],
     );
     for point in &matrix.points {
-        let runs =
-            run_scenario_reports_with_workers(&point.scenario, plan, options.workers, |_| {});
+        let runs = run_scenario_reports_with_workers(&point.scenario, plan, options.workers);
         let reports = runs.unwrap_or_else(|err| {
             eprintln!("{}: point `{}` failed: {err}", options.path, point.label);
             std::process::exit(1);
@@ -285,6 +302,10 @@ fn run_scenario_file(options: &ScenarioArgs, format: Format) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{USAGE}");
+        return;
+    }
     let scale = if args.iter().any(|a| a == "--paper") {
         Scale::Paper
     } else {

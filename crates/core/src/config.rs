@@ -5,11 +5,10 @@
 //! the `x`, `HB2BO` and `HB2NGC` factors, the heartbeat bounds, the event-table
 //! capacity and the wire sizes used for bandwidth accounting.
 
-use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
 
 /// Configuration of the frugal dissemination protocol.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProtocolConfig {
     /// Default heartbeat delay used before any neighbor speed information is
     /// available. The paper's Figure 4 sets 15 000 ms.

@@ -13,12 +13,11 @@
 //!    short-lived events that were never propagated are protected.
 
 use pubsub::{Event, EventId, SubscriptionSet, Topic};
-use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 use std::collections::BTreeMap;
 
 /// An event stored in the table together with its forward counter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StoredEvent {
     /// The event itself.
     pub event: Event,
@@ -59,7 +58,7 @@ impl std::fmt::Display for InsertError {
 impl std::error::Error for InsertError {}
 
 /// The bounded store of received/published events.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventTable {
     capacity: usize,
     entries: BTreeMap<EventId, StoredEvent>,

@@ -14,10 +14,9 @@
 
 use crate::config::ProtocolConfig;
 use pubsub::{Event, EventId, ProcessId, SubscriptionSet};
-use serde::{Deserialize, Serialize};
 
 /// A protocol message broadcast to the one-hop neighborhood.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Periodic neighborhood-detection beacon.
     Heartbeat {

@@ -6,12 +6,11 @@
 //! reliability (Figures 11–16).
 
 use pubsub::EventId;
-use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 use std::collections::BTreeMap;
 
 /// Counters maintained by every dissemination protocol instance.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProtocolMetrics {
     /// Events this process published itself.
     pub events_published: u64,

@@ -8,7 +8,6 @@
 //! the table's size stays bounded by the physical neighborhood size.
 
 use pubsub::{EventId, ProcessId, SubscriptionSet, Topic};
-use serde::{Deserialize, Serialize};
 use simkit::{BitSet, SimDuration, SimTime};
 use std::collections::{BTreeMap, HashSet};
 
@@ -24,7 +23,7 @@ fn dense_index(id: ProcessId) -> Option<usize> {
 }
 
 /// One row of the neighborhood table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NeighborEntry {
     /// The neighbor's subscriptions, as advertised in its last heartbeat.
     pub subscriptions: SubscriptionSet,
@@ -38,7 +37,7 @@ pub struct NeighborEntry {
 }
 
 /// The dynamic one-hop neighborhood table of a process.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NeighborhoodTable {
     entries: BTreeMap<ProcessId, NeighborEntry>,
     /// What recently departed neighbors were known to hold, so that a neighbor

@@ -71,10 +71,7 @@ pub mod world;
 
 pub use output::DataTable;
 pub use report::{EventOutcome, ExperimentPoint, NodeReport, RunReport};
-pub use runner::{
-    run_scenario, run_scenario_reports, run_scenario_reports_with_progress,
-    run_scenario_reports_with_workers, SeedPlan, SeedProgress,
-};
+pub use runner::{run_scenario, run_scenario_reports, run_scenario_reports_with_workers, SeedPlan};
 pub use scenario::{
     MobilityKind, ProtocolKind, Publication, PublisherChoice, Scenario, ScenarioBuilder,
     ScenarioError,

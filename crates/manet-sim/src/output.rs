@@ -5,11 +5,10 @@
 //! structure, with Markdown and CSV renderers used by the `reproduce` binary
 //! and by `EXPERIMENTS.md`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// A labelled table of floating-point results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataTable {
     title: String,
     /// First column header (the swept parameter).

@@ -7,12 +7,11 @@
 
 use netsim::TrafficCounters;
 use pubsub::EventId;
-use serde::{Deserialize, Serialize};
 use simkit::{OnlineStats, Summary};
 use std::collections::BTreeMap;
 
 /// The dissemination outcome of one published event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventOutcome {
     /// The event.
     pub id: EventId,
@@ -38,7 +37,7 @@ impl EventOutcome {
 }
 
 /// Per-node counters of one run, after warm-up subtraction.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodeReport {
     /// Full events transmitted by this node.
     pub events_sent: u64,
@@ -55,7 +54,7 @@ pub struct NodeReport {
 }
 
 /// The complete result of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Scenario label.
     pub label: String,

@@ -3,9 +3,9 @@
 //! Every data point of the paper is an average over 30 independent simulation
 //! runs. [`run_scenario`] executes one scenario over a set of seeds — in
 //! parallel on a chunked work-stealing pool, one thread per available core —
-//! and aggregates the reports into an [`ExperimentPoint`]. Long sweeps can
-//! observe per-seed completion through
-//! [`run_scenario_reports_with_progress`].
+//! and aggregates the reports into an [`ExperimentPoint`];
+//! [`run_scenario_reports`] returns the per-seed reports instead, and
+//! [`run_scenario_reports_with_workers`] fixes the worker count.
 
 use crate::report::{ExperimentPoint, RunReport};
 use crate::scenario::{Scenario, ScenarioError};
@@ -65,27 +65,12 @@ impl SeedPlan {
 ///
 /// Returns a [`ScenarioError`] if the scenario fails validation.
 pub fn run_scenario(scenario: &Scenario, plan: SeedPlan) -> Result<ExperimentPoint, ScenarioError> {
-    scenario.validate()?;
     let reports = run_scenario_reports(scenario, plan)?;
     let mut point = ExperimentPoint::new();
     for report in &reports {
         point.add(report);
     }
     Ok(point)
-}
-
-/// Progress notification for one completed seed, handed to the callback of
-/// [`run_scenario_reports_with_progress`].
-#[derive(Debug, Clone, Copy)]
-pub struct SeedProgress<'a> {
-    /// The seed whose run just finished.
-    pub seed: u64,
-    /// Number of seeds finished so far (including this one).
-    pub completed: usize,
-    /// Total number of seeds in the plan.
-    pub total: usize,
-    /// The report the run produced.
-    pub report: &'a RunReport,
 }
 
 /// Runs `scenario` once per seed of `plan` and returns every individual report,
@@ -98,12 +83,17 @@ pub fn run_scenario_reports(
     scenario: &Scenario,
     plan: SeedPlan,
 ) -> Result<Vec<RunReport>, ScenarioError> {
-    run_scenario_reports_with_progress(scenario, plan, |_| {})
+    let workers = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    run_scenario_reports_with_workers(scenario, plan, workers)
 }
 
-/// Like [`run_scenario_reports`], but invokes `on_seed` after every completed
-/// run (from the worker thread that ran it), so long sweeps can stream
-/// progress to a UI or log.
+/// Like [`run_scenario_reports`], but with an explicit number of worker
+/// threads (clamped to at least 1 and at most one per seed). Reports are
+/// identical for every worker count — seeds fully determine runs and each
+/// worker recycles its own world arena — which the integration determinism
+/// suite pins across 1, 2 and `available_parallelism()` workers.
 ///
 /// Seeds are distributed over a chunked work-stealing pool: each worker
 /// repeatedly claims a contiguous chunk of the seed list through one atomic
@@ -114,38 +104,11 @@ pub fn run_scenario_reports(
 /// # Errors
 ///
 /// Returns a [`ScenarioError`] if the scenario fails validation.
-pub fn run_scenario_reports_with_progress<F>(
-    scenario: &Scenario,
-    plan: SeedPlan,
-    on_seed: F,
-) -> Result<Vec<RunReport>, ScenarioError>
-where
-    F: Fn(SeedProgress<'_>) + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    run_scenario_reports_with_workers(scenario, plan, workers, on_seed)
-}
-
-/// Like [`run_scenario_reports_with_progress`], but with an explicit number of
-/// worker threads (clamped to at least 1 and at most one per seed). Reports
-/// are identical for every worker count — seeds fully determine runs and each
-/// worker recycles its own world arena — which the integration determinism
-/// suite pins across 1, 2 and `available_parallelism()` workers.
-///
-/// # Errors
-///
-/// Returns a [`ScenarioError`] if the scenario fails validation.
-pub fn run_scenario_reports_with_workers<F>(
+pub fn run_scenario_reports_with_workers(
     scenario: &Scenario,
     plan: SeedPlan,
     workers: usize,
-    on_seed: F,
-) -> Result<Vec<RunReport>, ScenarioError>
-where
-    F: Fn(SeedProgress<'_>) + Sync,
-{
+) -> Result<Vec<RunReport>, ScenarioError> {
     scenario.validate()?;
     let seeds: Vec<u64> = plan.seeds().collect();
     if seeds.is_empty() {
@@ -157,7 +120,6 @@ where
     let chunk_size = (seeds.len() / (workers * 4)).max(1);
 
     let next_chunk = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<RunReport>>> = Mutex::new(vec![None; seeds.len()]);
 
     std::thread::scope(|scope| {
@@ -176,19 +138,11 @@ where
                         break;
                     }
                     let end = (start + chunk_size).min(seeds.len());
-                    for index in start..end {
-                        let seed = seeds[index];
+                    for (index, &seed) in (start..end).zip(&seeds[start..end]) {
                         let world = arena
                             .checkout(scenario, seed)
                             .expect("scenario validated before spawning workers");
                         let report = world.run_mut();
-                        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                        on_seed(SeedProgress {
-                            seed,
-                            completed: done,
-                            total: seeds.len(),
-                            report: &report,
-                        });
                         results.lock().unwrap_or_else(PoisonError::into_inner)[index] =
                             Some(report);
                     }
@@ -288,24 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn progress_callback_sees_every_seed_exactly_once() {
-        let scenario = tiny_scenario();
-        let seen = Mutex::new(Vec::new());
-        let reports =
-            run_scenario_reports_with_progress(&scenario, SeedPlan::new(3, 5), |progress| {
-                assert_eq!(progress.total, 5);
-                assert!(progress.completed >= 1 && progress.completed <= 5);
-                assert_eq!(progress.report.seed, progress.seed);
-                seen.lock().unwrap().push(progress.seed);
-            })
-            .unwrap();
-        let mut seen = seen.into_inner().unwrap();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![3, 4, 5, 6, 7]);
-        assert_eq!(reports.len(), 5);
-    }
-
-    #[test]
     fn chunked_pool_matches_sequential_execution_for_many_seeds() {
         // More seeds than workers × chunks so several steal rounds happen.
         let scenario = tiny_scenario();
@@ -326,16 +262,14 @@ mod tests {
     fn worker_count_does_not_change_reports() {
         let scenario = tiny_scenario();
         let sequential =
-            run_scenario_reports_with_workers(&scenario, SeedPlan::new(1, 6), 1, |_| {}).unwrap();
+            run_scenario_reports_with_workers(&scenario, SeedPlan::new(1, 6), 1).unwrap();
         for workers in [2usize, 3, 64] {
             let pooled =
-                run_scenario_reports_with_workers(&scenario, SeedPlan::new(1, 6), workers, |_| {})
-                    .unwrap();
+                run_scenario_reports_with_workers(&scenario, SeedPlan::new(1, 6), workers).unwrap();
             assert_eq!(pooled, sequential, "{workers} workers diverged");
         }
         // Zero workers is clamped to one rather than hanging.
-        let clamped =
-            run_scenario_reports_with_workers(&scenario, SeedPlan::new(1, 2), 0, |_| {}).unwrap();
+        let clamped = run_scenario_reports_with_workers(&scenario, SeedPlan::new(1, 2), 0).unwrap();
         assert_eq!(clamped.len(), 2);
     }
 

@@ -127,6 +127,9 @@ pub struct Scenario {
 pub enum ScenarioError {
     /// The scenario has no nodes.
     NoNodes,
+    /// The scenario has more nodes than a 32-bit [`simkit::NodeId`] can
+    /// index (`u32::MAX`).
+    TooManyNodes,
     /// The subscriber fraction is outside `[0, 1]`.
     BadSubscriberFraction,
     /// The subscriber topic does not cover the event topic, so no subscriber
@@ -144,6 +147,9 @@ impl std::fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ScenarioError::NoNodes => write!(f, "scenario has no nodes"),
+            ScenarioError::TooManyNodes => {
+                write!(f, "scenario has more than {} nodes", u32::MAX)
+            }
             ScenarioError::BadSubscriberFraction => {
                 write!(f, "subscriber fraction must be within [0, 1]")
             }
@@ -173,6 +179,9 @@ impl Scenario {
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.node_count == 0 {
             return Err(ScenarioError::NoNodes);
+        }
+        if u32::try_from(self.node_count).is_err() {
+            return Err(ScenarioError::TooManyNodes);
         }
         if !(0.0..=1.0).contains(&self.subscriber_fraction) {
             return Err(ScenarioError::BadSubscriberFraction);
@@ -412,6 +421,13 @@ mod tests {
         assert_eq!(
             ScenarioBuilder::new().nodes(0).build().unwrap_err(),
             ScenarioError::NoNodes
+        );
+        assert_eq!(
+            ScenarioBuilder::new()
+                .nodes(u32::MAX as usize + 1)
+                .build()
+                .unwrap_err(),
+            ScenarioError::TooManyNodes
         );
         assert_eq!(
             ScenarioBuilder::new()

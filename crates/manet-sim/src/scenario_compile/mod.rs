@@ -53,9 +53,9 @@
 //! round-trip test suite.
 //!
 //! The front-end is the hand-rolled [`toml`] subset parser rather than a
-//! serde derive pipeline: the vendored serde shim has no-op derives, and
+//! serde derive pipeline: the offline build has no serde to derive with, and
 //! position-carrying errors need a span-keeping value tree (which the real
-//! `toml` crate only offers via `toml_edit`) — see `vendor/serde`.
+//! `toml` crate only offers via `toml_edit`).
 
 pub mod toml;
 
@@ -642,6 +642,9 @@ fn decode_spec(root: &Table) -> Result<ScenarioSpec, CompileError> {
     if nodes == 0 {
         return Err(scenario.err_at(nodes_pos, "`nodes` must be at least 1"));
     }
+    if u32::try_from(nodes).is_err() {
+        return Err(scenario.err_at(nodes_pos, too_many_nodes(nodes as f64)));
+    }
     let (subscriber_fraction, fraction_pos) = scenario.req_f64("subscriber_fraction")?;
     if !(0.0..=1.0).contains(&subscriber_fraction) {
         return Err(scenario.err_at(
@@ -1072,6 +1075,9 @@ fn decode_sweeps(root: &Table) -> Result<Vec<SweepAxis>, CompileError> {
                     ))
                 }
             };
+            if param == "nodes" && value > f64::from(u32::MAX) {
+                return Err(section.err_at(raw.pos, too_many_nodes(value)));
+            }
             values.push(value);
         }
         axes.push(SweepAxis {
@@ -1080,6 +1086,14 @@ fn decode_sweeps(root: &Table) -> Result<Vec<SweepAxis>, CompileError> {
         });
     }
     Ok(axes)
+}
+
+/// The error for a population that a 32-bit node id cannot index.
+fn too_many_nodes(nodes: f64) -> String {
+    format!(
+        "`nodes` must be at most {} (node ids are 32-bit), got {nodes}",
+        u32::MAX
+    )
 }
 
 fn check_sweep_param(param: &str, pos: Option<Pos>) -> Result<(), CompileError> {
@@ -1452,10 +1466,22 @@ validity_s = 19.0
         );
         assert_eq!(err.pos.unwrap().line, 4);
 
-        let source = patch(MINIMAL, "nodes = 6", "nodes = 0");
+        for (nodes, expected) in [
+            ("nodes = 0", "`nodes` must be at least 1"),
+            ("nodes = 4294967296", "`nodes` must be at most 4294967295"),
+        ] {
+            let source = patch(MINIMAL, "nodes = 6", nodes);
+            let err = compile_str(&source).unwrap_err();
+            assert!(err.message.contains(expected), "{err}");
+            assert_eq!(err.pos.unwrap().line, 3);
+        }
+        let source = format!("{MINIMAL}\n[[sweep]]\nparam = \"nodes\"\nvalues = [4, 4294967296]\n");
         let err = compile_str(&source).unwrap_err();
-        assert!(err.message.contains("`nodes` must be at least 1"), "{err}");
-        assert_eq!(err.pos.unwrap().line, 3);
+        assert!(
+            err.message.contains("`nodes` must be at most 4294967295"),
+            "{err}"
+        );
+        assert!(err.pos.is_some(), "{err}");
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! pauses that just ended — so a tick over a mostly-paused population costs
 //! O(waking · log n) instead of O(nodes). Skipped pause time is caught up in
 //! one exact integer-millisecond chunk, keeping positions, RNG streams and
-//! reports bit-identical to the reference full scan (kept as the doc-hidden
-//! [`World::set_scan_mobility`], itself equivalent to the original
-//! advance-everyone path behind [`World::set_naive_mobility`]).
+//! reports bit-identical to the original advance-everyone path, kept as the
+//! doc-hidden oracle behind [`World::set_naive_mobility`].
 //!
 //! The event loop itself is **batched**: the scheduler is a hierarchical
 //! timer wheel ([`TimerWheel`]) and the world drains all the events sharing
@@ -28,12 +27,13 @@
 //! hashing — and that same table is what keeps eager batch draining honest:
 //! a timer event only fires if its handle still matches the armed slot, so a
 //! timer cancelled or re-armed by an earlier event of its own batch is
-//! skipped exactly as the reference heap would have skipped it. The heap
-//! path survives as the doc-hidden [`World::set_heap_queue`], pinned
-//! bit-identical by the scheduler equivalence suite.
+//! skipped exactly as a one-pop-at-a-time loop would have skipped it. The
+//! wheel's oracle is the `BTreeMap` model property test in `simkit`; whole
+//! runs are pinned by the golden fingerprints captured before the wheel
+//! replaced the binary heap.
 //!
 //! Node state is laid out **structure-of-arrays**: the per-tick hot fields —
-//! wake times, last-advance times, timer slots, subscriber membership — live
+//! last-advance times, timer slots, subscriber membership — live
 //! in parallel arrays owned by the world (positions live in the medium's
 //! spatial grid), indexed by the dense [`NodeId`]; only the cold boxed
 //! protocol and mobility state stays behind the per-node struct. Protocol
@@ -55,15 +55,14 @@ use mobility::{
 use netsim::{RadioMedium, ReceptionOutcome, TrafficCounters, TxId};
 use pubsub::{EventId, ProcessId, Topic};
 use simkit::{
-    BitSet, EventHandle, EventQueue, IndexedMinQueue, NodeId, SimDuration, SimRng, SimTime,
-    TimerWheel,
+    BitSet, EventHandle, IndexedMinQueue, NodeId, SimDuration, SimRng, SimTime, TimerWheel,
 };
 
 /// The cold half of one simulated process: protocol + movement + private
-/// randomness, all behind pointers. The per-tick hot fields (wake times,
-/// last-advance times, timer slots, subscriber membership) live in parallel
-/// arrays on [`World`] instead, so the event loop walks dense cache lines
-/// rather than hopping through these structs.
+/// randomness, all behind pointers. The per-tick hot fields (last-advance
+/// times, timer slots, subscriber membership) live in parallel arrays on
+/// [`World`] instead, so the event loop walks dense cache lines rather than
+/// hopping through these structs.
 #[derive(Debug)]
 struct SimNode {
     protocol: Box<dyn DisseminationProtocol>,
@@ -107,82 +106,6 @@ struct PublishedRecord {
     topic: Topic,
 }
 
-/// The event scheduler driving the run: the production timer wheel or the
-/// binary-heap reference. Both implement the same dispatch contract — pops
-/// in `(time, FIFO)` order, batched same-timestamp drains, cancellation by
-/// handle — and the scheduler equivalence suite pins the whole-run reports
-/// bit-identical across the two. (The implementations differ only in
-/// signals the world never reads: the heap's lazy `cancel` cannot tell a
-/// fired handle from a pending one, so its return value and `len` are
-/// advisory there, while the wheel's are exact.)
-#[derive(Debug)]
-enum SchedulerQueue {
-    /// Default: hierarchical timer wheel, O(1) schedule/cancel, one staged
-    /// slot drain per same-timestamp batch.
-    Wheel(TimerWheel<WorldEvent>),
-    /// The pre-wheel binary heap, kept doc-hidden behind
-    /// [`World::set_heap_queue`] for the equivalence suite and the
-    /// `event_scaling` benchmark.
-    Heap(EventQueue<WorldEvent>),
-}
-
-impl SchedulerQueue {
-    fn schedule(&mut self, time: SimTime, event: WorldEvent) -> EventHandle {
-        match self {
-            SchedulerQueue::Wheel(queue) => queue.schedule(time, event),
-            SchedulerQueue::Heap(queue) => queue.schedule(time, event),
-        }
-    }
-
-    fn cancel(&mut self, handle: EventHandle) -> bool {
-        match self {
-            SchedulerQueue::Wheel(queue) => queue.cancel(handle),
-            SchedulerQueue::Heap(queue) => queue.cancel(handle),
-        }
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        match self {
-            SchedulerQueue::Wheel(queue) => queue.peek_time(),
-            SchedulerQueue::Heap(queue) => queue.peek_time(),
-        }
-    }
-
-    fn pop_due_batch(
-        &mut self,
-        deadline: SimTime,
-        out: &mut Vec<(EventHandle, WorldEvent)>,
-    ) -> Option<SimTime> {
-        match self {
-            SchedulerQueue::Wheel(queue) => queue.pop_due_batch(deadline, out),
-            SchedulerQueue::Heap(queue) => queue.pop_due_batch(deadline, out),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            SchedulerQueue::Wheel(queue) => queue.clear(),
-            SchedulerQueue::Heap(queue) => queue.clear(),
-        }
-    }
-}
-
-/// Which implementation a mobility tick uses. All three are semantically
-/// identical (pinned by the equivalence suite); the slower ones are kept as
-/// doc-hidden references for tests and the scaling benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MobilityPath {
-    /// Default: pop only the due nodes from the per-node wake queue —
-    /// O(waking · log n) per tick.
-    EventDriven,
-    /// The pre-wake-queue dirty-tick reference: scan every node, skip the ones
-    /// whose wake time has not come — O(nodes) compares per tick.
-    Scan,
-    /// The original reference: advance every node unconditionally on every
-    /// tick — O(nodes) full advances per tick.
-    Naive,
-}
-
 /// The complete state of one simulation run.
 #[derive(Debug)]
 pub struct World {
@@ -190,7 +113,7 @@ pub struct World {
     seed: u64,
     now: SimTime,
     end: SimTime,
-    queue: SchedulerQueue,
+    queue: TimerWheel<WorldEvent>,
     nodes: Vec<SimNode>,
     /// The medium owns the node positions (in its spatial grid); the world
     /// pushes moves into it incrementally at every mobility tick.
@@ -205,10 +128,6 @@ pub struct World {
     /// virtual time of each node's last mobility advance (dirty-tick
     /// bookkeeping: skipped nodes are caught up from here).
     last_advance: Vec<SimTime>,
-    /// Earliest virtual time at which each node's movement state can change.
-    /// While a node is not moving, ticks strictly before its wake time are
-    /// skipped entirely — no advance, no grid update, no RNG draw.
-    wake_times: Vec<SimTime>,
     /// One bit per node: set if the node subscribes to the measured topic.
     subscriber_bits: BitSet,
     frames: Vec<Option<PendingFrame>>,
@@ -224,16 +143,16 @@ pub struct World {
     warmup_traffic: Option<Vec<TrafficCounters>>,
     /// Wire-size accounting configuration (heartbeat size, header size, ...).
     sizing: ProtocolConfig,
-    /// Which mobility-tick implementation runs. Defaults to the event-driven
-    /// wake queue; the reference paths are kept (like
-    /// `RadioMedium::complete_transmission_brute`) for equivalence tests and
-    /// the `wake_scaling` / `mobility_scaling` benchmarks.
-    mobility_path: MobilityPath,
-    /// One entry per **sleeping** node, keyed by its wake time
-    /// (`SimNode::wake`). Moving nodes live in `active` instead — they are
-    /// advanced every tick anyway, so routing them through the heap would
-    /// cost two O(log n) operations per node per tick for nothing. Only
-    /// consulted by the event-driven path; rebuilt on every populate.
+    /// `true` runs the advance-everyone oracle instead of the event-driven
+    /// wake queue; kept (like `RadioMedium::complete_transmission_brute`)
+    /// for equivalence tests and the `mobility_scaling` benchmark.
+    naive_mobility: bool,
+    /// One entry per **sleeping** node, keyed by the earliest virtual time
+    /// its movement state can change. Moving nodes live in `active` instead
+    /// — they are advanced every tick anyway, so routing them through the
+    /// heap would cost two O(log n) operations per node per tick for
+    /// nothing. Only consulted by the event-driven path; rebuilt on every
+    /// populate.
     wake_queue: IndexedMinQueue,
     /// The nodes currently moving (advanced every tick), ascending index.
     /// Every node is in exactly one of `active` / `wake_queue`.
@@ -241,7 +160,7 @@ pub struct World {
     /// Scratch: next tick's active list, built during the merge walk.
     active_scratch: Vec<usize>,
     /// Scratch: the indices popped as due this tick, sorted ascending so they
-    /// are processed in exactly the order the reference scan visits them.
+    /// are processed in exactly the order the naive path visits them.
     wake_scratch: Vec<usize>,
     /// Scratch: every protocol callback appends into this one buffer; its
     /// action vector and the pooled message vectors inside it cycle in place,
@@ -276,12 +195,11 @@ impl World {
             seed,
             now: SimTime::ZERO,
             end,
-            queue: SchedulerQueue::Wheel(TimerWheel::new()),
+            queue: TimerWheel::new(),
             nodes: Vec::new(),
             medium,
             timer_slots: Vec::new(),
             last_advance: Vec::new(),
-            wake_times: Vec::new(),
             subscriber_bits: BitSet::new(),
             frames: Vec::new(),
             free_frames: Vec::new(),
@@ -291,7 +209,7 @@ impl World {
             warmup_traffic: None,
             sizing,
             scenario,
-            mobility_path: MobilityPath::EventDriven,
+            naive_mobility: false,
             wake_queue: IndexedMinQueue::new(),
             active: Vec::new(),
             active_scratch: Vec::new(),
@@ -322,9 +240,9 @@ impl World {
         self.seed = seed;
         self.now = SimTime::ZERO;
         self.end = SimTime::ZERO + self.scenario.duration;
-        // `SchedulerQueue::clear` also compacts: cancel tombstones are
-        // dropped and the handle space restarts, so a recycled world carries
-        // no dead handles (or unbounded sequence growth) across seeds.
+        // `TimerWheel::clear` also compacts: cancel tombstones are dropped
+        // and the handle space restarts, so a recycled world carries no dead
+        // handles (or unbounded sequence growth) across seeds.
         self.queue.clear();
         self.frames.clear();
         self.free_frames.clear();
@@ -441,12 +359,9 @@ impl World {
                 });
             }
         }
-        // Hot per-node state: everyone is advanced at the first tick (wake =
-        // ZERO); it initializes the protocol's speed and the wake times.
+        // Hot per-node state: everyone is advanced at the first tick.
         self.last_advance.clear();
         self.last_advance.resize(n, SimTime::ZERO);
-        self.wake_times.clear();
-        self.wake_times.resize(n, SimTime::ZERO);
         self.subscriber_bits.clear();
         for index in 0..n {
             if subscriber_indices.contains(&index) {
@@ -519,62 +434,7 @@ impl World {
     /// restores the event-driven default.
     #[doc(hidden)]
     pub fn set_naive_mobility(&mut self, naive: bool) {
-        self.mobility_path = if naive {
-            MobilityPath::Naive
-        } else {
-            MobilityPath::EventDriven
-        };
-    }
-
-    /// Forces the pre-wake-queue dirty-tick reference path that scans every
-    /// node each tick and skips the sleeping ones with one compare each.
-    /// Semantically identical to the default event-driven path (the
-    /// equivalence suite pins this); kept for tests and the `wake_scaling`
-    /// benchmark. Call before [`World::run`]; `false` restores the
-    /// event-driven default.
-    #[doc(hidden)]
-    pub fn set_scan_mobility(&mut self, scan: bool) {
-        self.mobility_path = if scan {
-            MobilityPath::Scan
-        } else {
-            MobilityPath::EventDriven
-        };
-    }
-
-    /// Forces the pre-wheel binary-heap event queue. Semantically identical
-    /// to the default timer wheel (the scheduler equivalence suite pins
-    /// whole-run reports bit-identical); kept for tests and the
-    /// `event_scaling` benchmark. Call before [`World::run`] — pending
-    /// events are transferred in `(time, FIFO)` order, but armed timers are
-    /// not (none exist before the run starts). The choice survives
-    /// [`World::reset`]; `false` restores the wheel.
-    #[doc(hidden)]
-    pub fn set_heap_queue(&mut self, heap: bool) {
-        if heap == matches!(self.queue, SchedulerQueue::Heap(_)) {
-            return;
-        }
-        debug_assert!(
-            self.timer_slots
-                .iter()
-                .all(|slots| slots.iter().all(Option::is_none)),
-            "switch the scheduler before timers are armed"
-        );
-        // Drain the pending events in pop order and replay them into the
-        // other implementation: relative order — and therefore the run — is
-        // preserved, only the (unreferenced) handles change.
-        let mut moved = Vec::new();
-        let mut batch = Vec::new();
-        while let Some(at) = self.queue.pop_due_batch(SimTime::MAX, &mut batch) {
-            moved.extend(batch.drain(..).map(|(_, event)| (at, event)));
-        }
-        self.queue = if heap {
-            SchedulerQueue::Heap(EventQueue::new())
-        } else {
-            SchedulerQueue::Wheel(TimerWheel::new())
-        };
-        for (at, event) in moved {
-            self.queue.schedule(at, event);
-        }
+        self.naive_mobility = naive;
     }
 
     /// Runs the simulation to the end of the scenario and returns the report.
@@ -588,9 +448,9 @@ impl World {
     /// The loop advances one **timestamp batch** at a time: every event
     /// sharing the earliest pending timestamp is drained from the scheduler
     /// in one call and dispatched in FIFO order. Timer events are validated
-    /// against the dense slot table at dispatch (see [`World::dispatch`]), so
-    /// eager draining cannot fire a timer that an earlier event of the same
-    /// batch cancelled or re-armed.
+    /// against the dense slot table at dispatch, so eager draining cannot
+    /// fire a timer that an earlier event of the same batch cancelled or
+    /// re-armed.
     pub fn run_mut(&mut self) -> RunReport {
         self.run_until(self.end);
         self.report()
@@ -627,7 +487,7 @@ impl World {
                 // The batch was drained eagerly; this timer fires only if it
                 // is still the armed instance for (node, kind). An earlier
                 // event of the same batch may have cancelled or re-armed it —
-                // the reference heap would then never have popped it.
+                // a one-pop-at-a-time loop would then never have popped it.
                 let slot = &mut self.timer_slots[node.index()][kind.index()];
                 if *slot == Some(handle) {
                     *slot = None;
@@ -642,10 +502,10 @@ impl World {
     }
 
     fn on_mobility_tick(&mut self) {
-        match self.mobility_path {
-            MobilityPath::EventDriven => self.on_mobility_tick_event(),
-            MobilityPath::Scan => self.on_mobility_tick_scan(),
-            MobilityPath::Naive => self.on_mobility_tick_naive(),
+        if self.naive_mobility {
+            self.on_mobility_tick_naive();
+        } else {
+            self.on_mobility_tick_event();
         }
         let next = self.now + self.scenario.mobility_tick;
         if next <= self.end {
@@ -654,8 +514,7 @@ impl World {
     }
 
     /// Advances node `index` across the current tick, catching up any skipped
-    /// pause time, and returns its next wake time. Shared by the event-driven
-    /// and scan paths so they are advance-for-advance identical.
+    /// pause time, and returns its next wake time.
     fn advance_due_node(&mut self, index: usize, now: SimTime, tick: SimDuration) -> SimTime {
         let node = &mut self.nodes[index];
         // Catch up pause time skipped since the last advance in one exact
@@ -679,7 +538,6 @@ impl World {
         } else {
             now.saturating_add(node.mobility.time_to_transition())
         };
-        self.wake_times[index] = wake;
         let position = node.mobility.position();
         node.protocol.update_speed(Some(speed));
         self.medium.update_position(index, position);
@@ -700,8 +558,8 @@ impl World {
         while let Some((_, index)) = self.wake_queue.pop_due(now) {
             woken.push(index);
         }
-        // Pops arrive in (wake, id) order; the reference scan visits due nodes
-        // in ascending index. Sorting, then merge-walking the (sorted) active
+        // Pops arrive in (wake, id) order; the naive path visits nodes in
+        // ascending index. Sorting, then merge-walking the (sorted) active
         // list with the woken list, keeps the two advance-for-advance
         // identical (grid updates, RNG draws, everything).
         woken.sort_unstable();
@@ -738,24 +596,6 @@ impl World {
         self.active_scratch = active;
         self.active = next_active;
         self.wake_scratch = woken;
-    }
-
-    /// The pre-wake-queue dirty-tick reference path: scans every node and
-    /// skips the ones whose wake time has not come. Semantically identical to
-    /// the event-driven path (the equivalence suite pins this); kept for tests
-    /// and the `wake_scaling` benchmark. See [`World::set_scan_mobility`].
-    fn on_mobility_tick_scan(&mut self) {
-        let tick = self.scenario.mobility_tick;
-        let now = self.now;
-        for index in 0..self.nodes.len() {
-            // Dirty-tick skip: a node that is not moving cannot change
-            // position or draw randomness before its wake time, so ticks
-            // strictly before it are a no-op for this node.
-            if self.wake_times[index] > now {
-                continue;
-            }
-            self.advance_due_node(index, now, tick);
-        }
     }
 
     /// The pre-dirty-tick reference path: advances every node unconditionally.
@@ -1264,20 +1104,16 @@ mod tests {
     }
 
     #[test]
-    fn event_driven_mobility_matches_scan_and_naive_references() {
+    fn event_driven_mobility_matches_naive_reference() {
         for seed in [1u64, 2, 3] {
             let event = World::new(pause_heavy_scenario(), seed).unwrap().run();
-            let mut scan_world = World::new(pause_heavy_scenario(), seed).unwrap();
-            scan_world.set_scan_mobility(true);
-            let scan = scan_world.run();
             let mut naive_world = World::new(pause_heavy_scenario(), seed).unwrap();
             naive_world.set_naive_mobility(true);
             let naive = naive_world.run();
             assert_eq!(
-                event, scan,
-                "event-driven diverged from the scan reference for seed {seed}"
+                event, naive,
+                "event-driven diverged from the naive reference for seed {seed}"
             );
-            assert_eq!(scan, naive, "scan diverged from naive for seed {seed}");
         }
         // Stationary nodes sleep forever after the first tick; reports must
         // still match the advance-everyone reference.

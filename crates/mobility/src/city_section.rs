@@ -15,13 +15,12 @@
 
 use crate::model::MobilityModel;
 use crate::point::{Area, Point};
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimRng};
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// A road connecting two intersections of a [`StreetMap`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Road {
     /// Index of the first endpoint intersection.
     pub a: usize,
@@ -35,7 +34,7 @@ pub struct Road {
 }
 
 /// An immutable street network: intersections (points) connected by roads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreetMap {
     intersections: Vec<Point>,
     roads: Vec<Road>,

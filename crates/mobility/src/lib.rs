@@ -4,14 +4,14 @@
 //! a Mobile Environment"* (Middleware 2005). The paper evaluates its protocol
 //! under the two most popular MANET mobility models, both implemented here:
 //!
-//! * [`RandomWaypoint`](random_waypoint::RandomWaypoint) — nodes alternate
+//! * [`RandomWaypoint`] — nodes alternate
 //!   straight-line trips to uniformly random waypoints with pause times
 //!   (used for Figures 11, 12 and the frugality comparison, Figures 17–20);
-//! * [`CitySection`](city_section::CitySection) — nodes drive on a street
+//! * [`CitySection`] — nodes drive on a street
 //!   network with per-road speed limits, popularity-weighted destinations and
 //!   intersection pauses (used for Figures 13–16);
 //!
-//! plus a [`Stationary`](model::Stationary) model, geometric primitives
+//! plus a [`Stationary`] model, geometric primitives
 //! ([`Point`], [`Area`]) and trace recording/replay
 //! ([`trace::TraceRecorder`], [`trace::TraceReplay`]) so different protocols
 //! can be compared on identical node movements.

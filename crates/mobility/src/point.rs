@@ -4,13 +4,12 @@
 //! 5000 m × 5000 m square (25 km², random waypoint) and a 1200 m × 900 m campus
 //! (city section).
 
-use serde::{Deserialize, Serialize};
 use simkit::SimRng;
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
 /// A position in the plane, in meters.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// East-west coordinate in meters.
     pub x: f64,
@@ -19,7 +18,7 @@ pub struct Point {
 }
 
 /// A displacement between two points, in meters.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vector {
     /// East-west component in meters.
     pub dx: f64,
@@ -28,7 +27,7 @@ pub struct Vector {
 }
 
 /// An axis-aligned rectangular simulation area `[0, width] × [0, height]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Area {
     width: f64,
     height: f64,

@@ -13,11 +13,10 @@
 
 use crate::model::MobilityModel;
 use crate::point::{Area, Point};
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimRng};
 
 /// Configuration of a [`RandomWaypoint`] process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomWaypointConfig {
     /// The rectangular area the process roams in.
     pub area: Area,

@@ -9,11 +9,10 @@
 
 use crate::model::MobilityModel;
 use crate::point::Point;
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimRng, SimTime};
 
 /// One sampled position of one process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSample {
     /// Virtual time of the sample.
     pub time: SimTime,
@@ -24,7 +23,7 @@ pub struct TraceSample {
 }
 
 /// A time-ordered list of position samples for one process.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MobilityTrace {
     samples: Vec<TraceSample>,
 }

@@ -27,7 +27,6 @@
 use crate::grid::SpatialGrid;
 use crate::radio::RadioConfig;
 use mobility::Point;
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimRng, SimTime};
 use std::collections::HashMap;
 
@@ -36,7 +35,7 @@ use std::collections::HashMap;
 pub struct TxId(u64);
 
 /// Per-node traffic accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficCounters {
     /// Frames this node put on the air.
     pub frames_sent: u64,

@@ -8,11 +8,10 @@
 //! channel, which drives collisions).
 
 use crate::propagation::two_ray_range_m;
-use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
 
 /// 802.11b transmission rates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BitRate {
     /// 1 Mbps (DBPSK), the most robust and longest-range rate — the rate used
     /// for broadcast frames in the open-area (random waypoint) reproduction.
@@ -68,7 +67,7 @@ impl BitRate {
 }
 
 /// Physical-layer configuration of every radio in a simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RadioConfig {
     /// Transmission rate used for broadcast frames.
     pub bit_rate: BitRate,

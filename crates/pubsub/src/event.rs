@@ -6,14 +6,11 @@
 //! topic of the hierarchy.
 
 use crate::topic::Topic;
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 use std::fmt;
 
 /// Identifier of a process (the software of one mobile device).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ProcessId(pub u64);
 
 impl fmt::Display for ProcessId {
@@ -34,7 +31,7 @@ impl From<u64> for ProcessId {
 /// The paper exchanges event identifiers (128 bits on the wire) instead of full
 /// events to avoid redundant transmissions; [`EventId::WIRE_SIZE_BYTES`] is the
 /// size used for bandwidth accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId {
     /// The process that published the event.
     pub publisher: ProcessId,
@@ -63,7 +60,7 @@ impl fmt::Display for EventId {
 }
 
 /// A published event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Unique identifier.
     pub id: EventId,

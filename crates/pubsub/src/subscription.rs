@@ -7,7 +7,6 @@
 //! in their neighborhood tables if their subscriptions are related.
 
 use crate::topic::Topic;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -19,7 +18,7 @@ use std::sync::Arc;
 /// does — is a reference-count bump, while `subscribe`/`unsubscribe`/`clear`
 /// copy the underlying tree only if it is currently shared. Equality and
 /// iteration order see through the `Arc`, so the sharing is unobservable.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SubscriptionSet {
     topics: Arc<BTreeSet<Topic>>,
 }

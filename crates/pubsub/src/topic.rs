@@ -6,7 +6,6 @@
 //! subtopics* — the matching rule at the heart of the paper's topic-based
 //! publish/subscribe model.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -21,7 +20,7 @@ use std::sync::Arc;
 /// reference-count bump rather than a fresh allocation. Equality, ordering
 /// and hashing see through the `Arc` to the segments, so the sharing is
 /// unobservable.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Topic {
     segments: Arc<Vec<String>>,
 }

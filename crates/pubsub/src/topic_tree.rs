@@ -7,17 +7,16 @@
 //! queries ("all events under `.T0.T1`").
 
 use crate::topic::Topic;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A tree keyed by [`Topic`], each node holding a list of `T` values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopicTree<T> {
     root: Node<T>,
     len: usize,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Node<T> {
     values: Vec<T>,
     children: BTreeMap<String, Node<T>>,

@@ -9,9 +9,7 @@
 //! * [`time`] — a millisecond-resolution virtual clock ([`SimTime`],
 //!   [`SimDuration`]);
 //! * [`scheduler`] — a cancellable discrete-event scheduler: a hierarchical
-//!   timer wheel with batched same-timestamp dispatch ([`TimerWheel`]) and
-//!   the binary-heap reference implementation of the same contract
-//!   ([`EventQueue`]);
+//!   timer wheel with batched same-timestamp dispatch ([`TimerWheel`]);
 //! * [`rng`] — deterministic, splittable random streams ([`SimRng`]) so every
 //!   experiment is reproducible from a single seed;
 //! * [`ids`] — dense 32-bit node ids ([`NodeId`]) and bit-packed membership
@@ -24,12 +22,12 @@
 //! A tiny simulation loop: schedule a few timers and process them in order.
 //!
 //! ```
-//! use simkit::{EventQueue, SimDuration, SimTime};
+//! use simkit::{SimDuration, SimTime, TimerWheel};
 //!
 //! #[derive(Debug, PartialEq)]
 //! enum Timer { Heartbeat, BackOff }
 //!
-//! let mut queue = EventQueue::new();
+//! let mut queue = TimerWheel::new();
 //! let mut now = SimTime::ZERO;
 //! queue.schedule(now + SimDuration::from_secs(15), Timer::Heartbeat);
 //! queue.schedule(now + SimDuration::from_millis(500), Timer::BackOff);
@@ -55,6 +53,6 @@ pub mod time;
 
 pub use ids::{BitSet, NodeId};
 pub use rng::SimRng;
-pub use scheduler::{EventHandle, EventQueue, IndexedMinQueue, TimerWheel};
+pub use scheduler::{EventHandle, IndexedMinQueue, TimerWheel};
 pub use stats::{OnlineStats, Summary};
 pub use time::{SimDuration, SimTime};

@@ -1,22 +1,19 @@
 //! Discrete-event scheduler.
 //!
-//! [`TimerWheel`] is the production event scheduler: a hierarchical timer
-//! wheel (calendar queue) keyed by [`SimTime`]. Near-future events live in
-//! fixed-width per-millisecond wheels (O(1) schedule/cancel, amortized-O(1)
-//! advance), far-future events in a sorted overflow list, and all the events
-//! that share a timestamp drain as one FIFO batch through
-//! [`TimerWheel::pop_due_batch`]. Handles are slab-recycled, so a long run
-//! reuses a bounded set of slots instead of growing a live-handle space.
-//!
-//! [`EventQueue`] is the binary-heap reference implementation of the same
-//! contract: a priority queue of `(SimTime, payload)` pairs popped in
-//! non-decreasing time order, with FIFO ordering between events that share
-//! the same timestamp (insertion order breaks ties). The simulation world
-//! keeps it behind a doc-hidden switch so equivalence suites can pin the
-//! wheel's pop order — and therefore every report — against it. Scheduled
-//! events can be cancelled through the [`EventHandle`] returned at insertion
-//! time, which is how protocol timers (heartbeats, back-offs, garbage
-//! collection) are disarmed in both implementations.
+//! [`TimerWheel`] is the event scheduler: a hierarchical timer wheel
+//! (calendar queue) keyed by [`SimTime`]. Events pop in non-decreasing time
+//! order, with FIFO ordering between events that share a timestamp
+//! (insertion order breaks ties). Near-future events live in fixed-width
+//! per-millisecond wheels (O(1) schedule/cancel, amortized-O(1) advance),
+//! far-future events in a sorted overflow list, and all the events that share
+//! a timestamp drain as one FIFO batch through [`TimerWheel::pop_due_batch`].
+//! Scheduled events can be cancelled through the [`EventHandle`] returned at
+//! insertion time, which is how protocol timers (heartbeats, back-offs,
+//! garbage collection) are disarmed. Handles are slab-recycled, so a long run
+//! reuses a bounded set of slots instead of growing a live-handle space. Its
+//! oracle is a `BTreeMap<(time, seq), payload>` model that a property test
+//! drives through random interleavings of schedules, cancels, single pops and
+//! batch drains.
 //!
 //! [`IndexedMinQueue`] is the companion structure for *per-entity* deadlines:
 //! each id in `0..n` holds at most one `SimTime` key, the key can be decreased
@@ -28,10 +25,10 @@
 //! # Examples
 //!
 //! ```
-//! use simkit::scheduler::EventQueue;
+//! use simkit::scheduler::TimerWheel;
 //! use simkit::time::SimTime;
 //!
-//! let mut q = EventQueue::new();
+//! let mut q = TimerWheel::new();
 //! q.schedule(SimTime::from_secs(2), "second");
 //! let h = q.schedule(SimTime::from_secs(1), "first");
 //! q.schedule(SimTime::from_secs(3), "third");
@@ -43,233 +40,11 @@
 //! ```
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Opaque handle identifying a scheduled event, used to cancel it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventHandle(u64);
-
-/// A single entry in the heap. Ordered so that the *earliest* time pops first,
-/// and among equal times the *lowest sequence number* (earliest insertion).
-#[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so earliest time / lowest seq is "greatest".
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// A cancellable discrete-event priority queue.
-///
-/// The queue is the heart of the simulation kernel: the simulation `World`
-/// repeatedly pops the earliest pending event, advances the virtual clock to its
-/// timestamp and dispatches it.
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    cancelled: HashSet<u64>,
-    next_seq: u64,
-    live: usize,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
-            next_seq: 0,
-            live: 0,
-        }
-    }
-
-    /// Schedules `payload` to fire at absolute time `time`.
-    ///
-    /// Returns a handle that can later be passed to [`EventQueue::cancel`].
-    pub fn schedule(&mut self, time: SimTime, payload: E) -> EventHandle {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { time, seq, payload });
-        self.live += 1;
-        EventHandle(seq)
-    }
-
-    /// Cancels a previously scheduled event.
-    ///
-    /// Returns `true` if the event was still pending and is now cancelled,
-    /// `false` if it had already been cancelled.
-    ///
-    /// Cancellation is lazy, so — unlike [`TimerWheel::cancel`], which
-    /// tracks liveness exactly — the heap cannot tell a *fired* (popped)
-    /// handle from a pending one: cancelling one returns `true`, leaves a
-    /// tombstone that matches nothing (reclaimed by
-    /// [`EventQueue::compact`] / [`EventQueue::clear`]) and makes
-    /// [`EventQueue::len`] undercount by one until then. The simulation
-    /// world consults neither signal (its dense timer-slot table is the
-    /// source of truth for what is armed), but embedders driving the queue
-    /// directly should treat the return value and `len` as advisory once
-    /// they cancel handles that may already have fired.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        if handle.0 >= self.next_seq {
-            return false;
-        }
-        if self.cancelled.insert(handle.0) {
-            // We cannot cheaply know whether the seq is still in the heap; `live`
-            // is corrected lazily in `pop`. Only count it if it plausibly is.
-            if self.live > 0 {
-                self.live -= 1;
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Removes and returns the earliest pending event, skipping cancelled ones.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            self.live = self.live.saturating_sub(1);
-            return Some((entry.time, entry.payload));
-        }
-        None
-    }
-
-    /// Drains the whole batch of events sharing the earliest pending
-    /// timestamp, provided that timestamp is `<= deadline`.
-    ///
-    /// Appends `(handle, payload)` pairs to `out` in FIFO (insertion) order
-    /// and returns the batch timestamp, or `None` (appending nothing) if the
-    /// queue is empty or its earliest event is after `deadline`. The handle
-    /// accompanies each payload so a consumer that drained a batch eagerly
-    /// can still honor cancellations requested *while dispatching the batch*
-    /// — the simulation world checks each timer event against its armed
-    /// handle before acting on it.
-    pub fn pop_due_batch(
-        &mut self,
-        deadline: SimTime,
-        out: &mut Vec<(EventHandle, E)>,
-    ) -> Option<SimTime> {
-        let time = self.peek_time()?;
-        if time > deadline {
-            return None;
-        }
-        while let Some(entry) = self.heap.peek() {
-            if entry.time != time {
-                break;
-            }
-            let entry = self.heap.pop().expect("peeked entry must pop");
-            if self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            self.live = self.live.saturating_sub(1);
-            out.push((EventHandle(entry.seq), entry.payload));
-        }
-        Some(time)
-    }
-
-    /// Removes every cancelled entry still buried in the heap, releasing the
-    /// tombstone set.
-    ///
-    /// Cancellation is lazy: a cancelled event stays in the heap (and its seq
-    /// in the tombstone set) until its timestamp comes up. Long runs with
-    /// heavy re-arming can accumulate tombstones for timers that will not
-    /// expire for a while; compacting rebuilds the heap from the live entries
-    /// in O(n). Cancels of already-popped handles also leave a tombstone that
-    /// matches nothing — compaction clears those too, restoring an exact
-    /// [`EventQueue::len`].
-    ///
-    /// The simulation world never needs this: its per-seed reset goes through
-    /// [`EventQueue::clear`], which drops tombstones wholesale. `compact` is
-    /// for long-lived queues that cannot restart their handle space — an
-    /// embedder driving the queue directly (like the car-park example) can
-    /// call it at quiet points to bound tombstone memory.
-    pub fn compact(&mut self) {
-        if self.cancelled.is_empty() {
-            return;
-        }
-        let entries = std::mem::take(&mut self.heap).into_vec();
-        self.heap = entries
-            .into_iter()
-            .filter(|entry| !self.cancelled.remove(&entry.seq))
-            .collect();
-        // Whatever is left in the tombstone set referenced already-popped
-        // events; drop it so recycled queues carry no dead handles.
-        self.cancelled.clear();
-        self.live = self.heap.len();
-    }
-
-    /// The timestamp of the earliest pending (non-cancelled) event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = entry.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-            } else {
-                return Some(entry.time);
-            }
-        }
-        None
-    }
-
-    /// Number of pending (non-cancelled) events.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Drops every pending event, every cancel tombstone, and restarts the
-    /// handle space from zero.
-    ///
-    /// Recycled queues (a simulation world reset for the next seed of a
-    /// sweep) therefore carry no dead handles across runs and the sequence
-    /// space does not grow without bound over thousands of seeds. Handles
-    /// issued before `clear` are invalidated and **must not** be passed to
-    /// [`EventQueue::cancel`] afterwards: the sequence numbers they carry
-    /// will be reissued to new events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.cancelled.clear();
-        self.next_seq = 0;
-        self.live = 0;
-    }
-}
 
 /// Number of index bits per wheel level: each level has `1 << SLOT_BITS`
 /// slots.
@@ -351,12 +126,11 @@ enum Placed {
 /// migrate into the wheels as the floor approaches them.
 ///
 /// **Ordering contract:** pops yield events in non-decreasing time order with
-/// FIFO order between events sharing a timestamp — exactly the order of the
-/// reference [`EventQueue`] (each level-0 slot covers a single millisecond,
-/// and a drain sorts the slot by global insertion sequence). The batched
-/// drain, [`TimerWheel::pop_due_batch`], hands over a whole same-timestamp
-/// batch in one call, which is what lets the simulation world dispatch a
-/// 10k-node heartbeat wave without 10k separate heap pops.
+/// FIFO order between events sharing a timestamp (each level-0 slot covers a
+/// single millisecond, and a drain sorts the slot by global insertion
+/// sequence). The batched drain, [`TimerWheel::pop_due_batch`], hands over a
+/// whole same-timestamp batch in one call, which is what lets the simulation
+/// world dispatch a 10k-node heartbeat wave without 10k separate pops.
 ///
 /// Scheduling **at or before the floor** (something the simulation world
 /// never does — it only schedules at `now + delay`, and the floor never
@@ -551,9 +325,11 @@ impl<E> TimerWheel<E> {
     ///
     /// Appends `(handle, payload)` pairs to `out` in FIFO (seq) order and
     /// returns the batch timestamp, or `None` (appending nothing) if the
-    /// wheel is empty or its earliest event is after `deadline`. As with
-    /// [`EventQueue::pop_due_batch`], the handles let a consumer that drained
-    /// eagerly honor cancellations issued mid-batch.
+    /// wheel is empty or its earliest event is after `deadline`. The handle
+    /// accompanies each payload so a consumer that drained a batch eagerly
+    /// can still honor cancellations requested *while dispatching the batch*
+    /// — the simulation world checks each timer event against its armed
+    /// handle before acting on it.
     pub fn pop_due_batch(
         &mut self,
         deadline: SimTime,
@@ -573,7 +349,7 @@ impl<E> TimerWheel<E> {
             cursor = self.slab[cursor as usize].next;
         }
         // Entries landed here through direct schedules and cascades in mixed
-        // order; seq order is the heap's FIFO order for this timestamp.
+        // order; seq order is the FIFO order for this timestamp.
         batch.sort_unstable_by_key(|&slab| self.slab[slab as usize].seq);
         for &slab in &batch {
             let slot = &mut self.slab[slab as usize];
@@ -640,9 +416,10 @@ impl<E> TimerWheel<E> {
     /// [`SimTime::ZERO`] and restarts the seq space, keeping every allocation
     /// (slot buckets, slab, free list) for the next run.
     ///
-    /// Occupied slab slots are released under a bumped generation, so — as
-    /// with [`EventQueue::clear`] — handles issued before `clear` are
-    /// invalidated and must not be cancelled afterwards.
+    /// Occupied slab slots are released under a bumped generation, so
+    /// handles issued before `clear` are invalidated: a recycled wheel (a
+    /// simulation world reset for the next seed of a sweep) carries no dead
+    /// handles across runs.
     pub fn clear(&mut self) {
         self.slots.fill(NIL);
         self.occupied = [[0; BITMAP_WORDS]; WHEEL_LEVELS];
@@ -889,9 +666,8 @@ fn unpack_handle(handle: EventHandle) -> (u32, u32) {
 /// inserts a new entry or re-keys an existing one (decrease *and* increase are
 /// both O(log n), located through a positions table — no lazy deletion, no
 /// duplicate entries). Pops yield `(key, id)` in ascending key order; among
-/// equal keys the **lowest id** pops first, which is what lets the simulation
-/// world process waking nodes in exactly the order the reference full scan
-/// visits them.
+/// equal keys the **lowest id** pops first, so the simulation world's wake
+/// drains are deterministic.
 ///
 /// # Examples
 ///
@@ -1069,257 +845,6 @@ impl IndexedMinQueue {
                 break;
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::time::SimDuration;
-
-    fn t(secs: u64) -> SimTime {
-        SimTime::from_secs(secs)
-    }
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(t(5), 5);
-        q.schedule(t(1), 1);
-        q.schedule(t(3), 3);
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, v)| v).collect();
-        assert_eq!(order, vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn fifo_between_equal_timestamps() {
-        let mut q = EventQueue::new();
-        q.schedule(t(2), "a");
-        q.schedule(t(2), "b");
-        q.schedule(t(2), "c");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, v)| v).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn cancel_removes_event() {
-        let mut q = EventQueue::new();
-        let h1 = q.schedule(t(1), "x");
-        q.schedule(t(2), "y");
-        assert!(q.cancel(h1));
-        assert!(!q.cancel(h1), "double cancel must report false");
-        assert_eq!(q.pop(), Some((t(2), "y")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn cancel_unknown_handle_is_noop() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        assert!(!q.cancel(EventHandle(42)));
-        q.schedule(t(1), 1);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn len_tracks_live_events() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        let h = q.schedule(t(1), 1);
-        q.schedule(t(2), 2);
-        assert_eq!(q.len(), 2);
-        q.cancel(h);
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(t(1), 1);
-        q.schedule(t(4), 4);
-        assert_eq!(q.peek_time(), Some(t(1)));
-        q.cancel(h);
-        assert_eq!(q.peek_time(), Some(t(4)));
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.schedule(t(1), 1);
-        q.schedule(t(2), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop() {
-        let mut q = EventQueue::new();
-        q.schedule(t(10), "late");
-        q.schedule(t(1), "early");
-        assert_eq!(q.pop().unwrap().1, "early");
-        // schedule something between now and the pending "late" event
-        q.schedule(t(5), "middle");
-        assert_eq!(q.pop().unwrap().1, "middle");
-        assert_eq!(q.pop().unwrap().1, "late");
-    }
-
-    #[test]
-    fn handles_large_volumes() {
-        let mut q = EventQueue::new();
-        for i in 0..10_000u64 {
-            // schedule in reverse order
-            q.schedule(SimTime::from_millis(10_000 - i), i);
-        }
-        let mut last = SimTime::ZERO;
-        let mut count = 0;
-        while let Some((time, _)) = q.pop() {
-            assert!(time >= last);
-            last = time;
-            count += 1;
-        }
-        assert_eq!(count, 10_000);
-        let _ = SimDuration::ZERO; // silence unused import in some cfg combinations
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Popping always yields non-decreasing timestamps, regardless of the
-        /// insertion order and of which events get cancelled.
-        #[test]
-        fn pop_order_is_monotone(times in proptest::collection::vec(0u64..100_000, 1..200),
-                                 cancel_mask in proptest::collection::vec(any::<bool>(), 1..200)) {
-            let mut q = EventQueue::new();
-            let mut handles = Vec::new();
-            for (i, &ms) in times.iter().enumerate() {
-                handles.push(q.schedule(SimTime::from_millis(ms), i));
-            }
-            let mut cancelled = std::collections::HashSet::new();
-            for (i, h) in handles.iter().enumerate() {
-                if *cancel_mask.get(i).unwrap_or(&false) {
-                    q.cancel(*h);
-                    cancelled.insert(i);
-                }
-            }
-            let mut last = SimTime::ZERO;
-            let mut seen = 0usize;
-            while let Some((t, idx)) = q.pop() {
-                prop_assert!(t >= last);
-                prop_assert!(!cancelled.contains(&idx), "cancelled event {idx} must not fire");
-                last = t;
-                seen += 1;
-            }
-            prop_assert_eq!(seen, times.len() - cancelled.len());
-        }
-
-        /// `len` always equals the number of events that will eventually pop.
-        #[test]
-        fn len_matches_poppable(times in proptest::collection::vec(0u64..1000, 0..100)) {
-            let mut q = EventQueue::new();
-            for &ms in &times {
-                q.schedule(SimTime::from_millis(ms), ms);
-            }
-            prop_assert_eq!(q.len(), times.len());
-            let mut popped = 0;
-            while q.pop().is_some() {
-                popped += 1;
-            }
-            prop_assert_eq!(popped, times.len());
-            prop_assert!(q.is_empty());
-        }
-    }
-}
-
-#[cfg(test)]
-mod batch_and_compact_tests {
-    use super::*;
-
-    fn t(secs: u64) -> SimTime {
-        SimTime::from_secs(secs)
-    }
-
-    fn payloads<E: Copy>(batch: &[(EventHandle, E)]) -> Vec<E> {
-        batch.iter().map(|(_, p)| *p).collect()
-    }
-
-    #[test]
-    fn heap_batch_drains_one_timestamp_in_fifo_order() {
-        let mut q = EventQueue::new();
-        q.schedule(t(2), "b1");
-        q.schedule(t(1), "a1");
-        q.schedule(t(2), "b2");
-        q.schedule(t(1), "a2");
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_due_batch(t(10), &mut batch), Some(t(1)));
-        assert_eq!(payloads(&batch), vec!["a1", "a2"]);
-        batch.clear();
-        assert_eq!(q.pop_due_batch(t(10), &mut batch), Some(t(2)));
-        assert_eq!(payloads(&batch), vec!["b1", "b2"]);
-        batch.clear();
-        assert_eq!(q.pop_due_batch(t(10), &mut batch), None);
-        assert!(batch.is_empty());
-    }
-
-    #[test]
-    fn heap_batch_respects_deadline_and_cancellation() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(t(1), "dead");
-        q.schedule(t(1), "live");
-        q.schedule(t(5), "later");
-        q.cancel(h);
-        let mut batch = Vec::new();
-        assert_eq!(
-            q.pop_due_batch(t(0), &mut batch),
-            None,
-            "deadline too early"
-        );
-        assert_eq!(q.pop_due_batch(t(1), &mut batch), Some(t(1)));
-        assert_eq!(payloads(&batch), vec!["live"]);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn compact_removes_buried_tombstones() {
-        let mut q = EventQueue::new();
-        let handles: Vec<_> = (0..100u64).map(|i| q.schedule(t(100 + i), i)).collect();
-        for h in handles.iter().step_by(2) {
-            q.cancel(*h);
-        }
-        // A cancel of an already-popped handle leaves a dead tombstone too.
-        q.schedule(t(1), 999);
-        let early = q.pop().unwrap();
-        assert_eq!(early.1, 999);
-        q.compact();
-        assert_eq!(q.len(), 50);
-        let survivors: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, v)| v).collect();
-        assert_eq!(
-            survivors,
-            (0..100).filter(|i| i % 2 == 1).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn clear_restarts_the_handle_space() {
-        let mut q = EventQueue::new();
-        let h1 = q.schedule(t(1), 1);
-        q.cancel(h1);
-        q.clear();
-        // Fresh queue: the first new handle occupies the same seq slot as h1
-        // did, and there are no leftover tombstones to swallow it.
-        let h2 = q.schedule(t(2), 2);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((t(2), 2)));
-        // The heap cannot tell a fired handle from a pending one (cancel is
-        // lazy); the tombstone it leaves is reclaimed by `compact`.
-        q.cancel(h2);
-        q.compact();
-        assert!(q.is_empty());
     }
 }
 
@@ -1520,14 +1045,14 @@ mod wheel_proptests {
 
     proptest! {
         /// The wheel behaves exactly like a `BTreeMap<(time, seq), payload>`
-        /// under arbitrary interleavings of schedule / cancel / batched pops,
-        /// including times that overflow into (and cross back out of) the
-        /// far list. The model mirrors the wheel's floor-clamping contract:
-        /// scheduling below the floor fires at the floor.
+        /// under arbitrary interleavings of schedule / cancel / single pops /
+        /// batched pops, including times that overflow into (and cross back
+        /// out of) the far list. The model mirrors the wheel's floor-clamping
+        /// contract: scheduling below the floor fires at the floor.
         #[test]
         fn matches_btreemap_model(
             ops in proptest::collection::vec(
-                (0u8..4, 0u64..(WHEEL_SPAN_MS * 2), 0usize..64),
+                (0u8..5, 0u64..(WHEEL_SPAN_MS * 2), 0usize..64),
                 1..120,
             ),
         ) {
@@ -1537,10 +1062,15 @@ mod wheel_proptests {
             let mut floor = 0u64;
             let mut next_seq = 0u64;
             let mut payload = 0u64;
+            let mut last_time = 0u64;
             let mut batch = Vec::new();
             for (op, time_ms, pick) in ops {
                 match op {
                     0 | 1 => {
+                        // Op 1 reuses the previous schedule's time, so
+                        // same-timestamp FIFO ties are common, not a fluke.
+                        let time_ms = if op == 1 { last_time } else { time_ms };
+                        last_time = time_ms;
                         let handle = wheel.schedule(SimTime::from_millis(time_ms), payload);
                         let key = (time_ms.max(floor), next_seq);
                         model.insert(key, payload);
@@ -1552,6 +1082,18 @@ mod wheel_proptests {
                         let target = issued[pick % issued.len()];
                         let expected = model.remove(&target.key).is_some();
                         prop_assert_eq!(wheel.cancel(target.handle), expected);
+                    }
+                    3 => {
+                        // Single pop: the lowest-seq event of the earliest
+                        // timestamp, which also becomes the floor.
+                        let got = wheel.pop();
+                        match model.pop_first() {
+                            None => prop_assert_eq!(got, None),
+                            Some(((at, _), p)) => {
+                                floor = floor.max(at);
+                                prop_assert_eq!(got, Some((SimTime::from_millis(at), p)));
+                            }
+                        }
                     }
                     _ => {
                         // Pop attempt with a drawn deadline. The attempt
@@ -1601,38 +1143,6 @@ mod wheel_proptests {
             let expected: Vec<(u64, u64)> =
                 model.iter().map(|(&(at, _), &p)| (at, p)).collect();
             prop_assert_eq!(drained, expected);
-        }
-
-        /// Single-event pops from the wheel match the reference heap pop for
-        /// pop, including FIFO ties — the wheel and the heap implement the
-        /// same contract.
-        #[test]
-        fn wheel_pop_matches_heap_pop(
-            times in proptest::collection::vec(0u64..500_000, 1..150),
-            cancel_mask in proptest::collection::vec(any::<bool>(), 1..150),
-        ) {
-            let mut wheel = TimerWheel::new();
-            let mut heap = EventQueue::new();
-            let mut wheel_handles = Vec::new();
-            let mut heap_handles = Vec::new();
-            for (i, &ms) in times.iter().enumerate() {
-                wheel_handles.push(wheel.schedule(SimTime::from_millis(ms), i));
-                heap_handles.push(heap.schedule(SimTime::from_millis(ms), i));
-            }
-            for (i, (&w, &h)) in wheel_handles.iter().zip(&heap_handles).enumerate() {
-                if *cancel_mask.get(i).unwrap_or(&false) {
-                    prop_assert_eq!(wheel.cancel(w), heap.cancel(h));
-                }
-            }
-            prop_assert_eq!(wheel.len(), heap.len());
-            loop {
-                let a = wheel.pop();
-                let b = heap.pop();
-                prop_assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
         }
     }
 }

@@ -20,10 +20,8 @@
 //! assert_eq!(summary.count, 4);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming mean / variance / extrema accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -33,7 +31,7 @@ pub struct OnlineStats {
 }
 
 /// Frozen summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub count: u64,

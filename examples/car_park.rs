@@ -18,7 +18,7 @@ use frugal::{
 };
 use mobility::{CitySection, CitySectionConfig, MobilityModel, Point};
 use pubsub::{ProcessId, Topic};
-use simkit::{EventQueue, SimDuration, SimRng, SimTime};
+use simkit::{SimDuration, SimRng, SimTime, TimerWheel};
 use std::collections::HashMap;
 
 /// One car: a protocol instance plus its position on the street network.
@@ -73,7 +73,7 @@ fn main() {
         })
         .collect();
 
-    let mut queue: EventQueue<Happening> = EventQueue::new();
+    let mut queue: TimerWheel<Happening> = TimerWheel::new();
     let mut timers: HashMap<(usize, TimerKind), simkit::EventHandle> = HashMap::new();
     let mut now = SimTime::ZERO;
 
@@ -123,7 +123,7 @@ fn main() {
         sender: usize,
         actions: Vec<Action>,
         cars: &mut Vec<Car>,
-        queue: &mut EventQueue<Happening>,
+        queue: &mut TimerWheel<Happening>,
         timers: &mut HashMap<(usize, TimerKind), simkit::EventHandle>,
         now: SimTime,
     ) {

@@ -1,15 +1,15 @@
-//! Equivalence suite for the dirty-tick mobility advance.
+//! Equivalence suite for the event-driven mobility advance.
 //!
-//! The dirty-tick path (PR 3) skips nodes that are paused, parked or
-//! stationary and catches them up in one chunked `advance` when their pause
-//! can end; the event-driven wake queue (PR 4) goes further and pops exactly
-//! the due nodes from an indexed min-queue instead of scanning everyone, and
-//! world arenas reset per-node protocol/mobility state in place instead of
-//! rebuilding it. These properties pin the refactors' contract: positions,
-//! the per-node mobility RNG streams, and whole `RunReport`s must be
-//! **bit-identical** across all three tick implementations (event-driven,
-//! scan, naive) and across fresh vs arena-recycled worlds, on random
-//! scenarios, for both of the paper's mobility models.
+//! The production mobility tick pops only the due nodes from an indexed
+//! min-queue of wake times, skipping nodes that are paused, parked or
+//! stationary and catching them up in one chunked `advance` when their pause
+//! can end; world arenas reset per-node protocol/mobility state in place
+//! instead of rebuilding it. Its one oracle is the naive path that advances
+//! every node on every tick (`World::set_naive_mobility`). These properties
+//! pin the contract: positions, the per-node mobility RNG streams, and whole
+//! `RunReport`s must be **bit-identical** between the event-driven and naive
+//! ticks and across fresh vs arena-recycled worlds, on random scenarios, for
+//! both of the paper's mobility models.
 
 use frugal::{FloodingPolicy, ProtocolConfig};
 use manet_sim::{
@@ -175,10 +175,11 @@ fn random_scenario(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Whole-world equivalence: the dirty-tick world and the naive world
+    /// Whole-world equivalence: the event-driven world and the naive world
     /// produce bit-identical `RunReport`s on random scenarios — random
-    /// populations, tick sizes, radio ranges, pause lengths, and both
-    /// protocols — under the random-waypoint model.
+    /// populations, tick sizes, radio ranges, pause lengths (including zero
+    /// pauses, where nobody ever sleeps, and long ones, where almost
+    /// everybody does), and both protocols — under the random-waypoint model.
     #[test]
     fn world_reports_identical_random_waypoint(
         seed in 0u64..1_000_000,
@@ -203,58 +204,6 @@ proptest! {
         let mut naive_world = World::new(scenario, seed).unwrap();
         naive_world.set_naive_mobility(true);
         prop_assert_eq!(dirty, naive_world.run());
-    }
-
-    /// Lockstep equivalence of the two dirty-tick implementations: the
-    /// event-driven wake queue (default) and the scan-every-node reference
-    /// must produce bit-identical `RunReport`s on random random-waypoint
-    /// scenarios — including zero pauses (nobody ever sleeps), long pauses
-    /// (almost everybody sleeps) and both protocols.
-    #[test]
-    fn world_reports_identical_event_vs_scan_random_waypoint(
-        seed in 0u64..1_000_000,
-        nodes in 4usize..16,
-        tick_ms in 200u64..1_000,
-        pause_s in 0u64..20,
-        frugal in any::<bool>(),
-    ) {
-        let mobility = MobilityKind::RandomWaypoint {
-            area: Area::square(400.0),
-            speed_min: 2.0,
-            speed_max: 25.0,
-            pause: SimDuration::from_secs(pause_s),
-        };
-        let protocol = if frugal {
-            ProtocolKind::Frugal(ProtocolConfig::paper_default())
-        } else {
-            ProtocolKind::Flooding(FloodingPolicy::Simple)
-        };
-        let scenario = random_scenario(mobility, protocol, nodes, tick_ms, 180.0);
-        let event = World::new(scenario.clone(), seed).unwrap().run();
-        let mut scan_world = World::new(scenario, seed).unwrap();
-        scan_world.set_scan_mobility(true);
-        prop_assert_eq!(event, scan_world.run());
-    }
-
-    /// Same event-vs-scan property under the city-section model, whose pause
-    /// lengths are drawn per intersection stop.
-    #[test]
-    fn world_reports_identical_event_vs_scan_city_section(
-        seed in 0u64..1_000_000,
-        nodes in 4usize..16,
-        tick_ms in 200u64..1_000,
-    ) {
-        let scenario = random_scenario(
-            MobilityKind::CityCampus,
-            ProtocolKind::Frugal(ProtocolConfig::paper_default()),
-            nodes,
-            tick_ms,
-            60.0,
-        );
-        let event = World::new(scenario.clone(), seed).unwrap().run();
-        let mut scan_world = World::new(scenario, seed).unwrap();
-        scan_world.set_scan_mobility(true);
-        prop_assert_eq!(event, scan_world.run());
     }
 
     /// Arena recycling with in-place protocol/mobility resets must be
@@ -286,7 +235,8 @@ proptest! {
         }
     }
 
-    /// Same property under the city-section model.
+    /// Same event-vs-naive property under the city-section model, whose
+    /// pause lengths are drawn per intersection stop.
     #[test]
     fn world_reports_identical_city_section(
         seed in 0u64..1_000_000,

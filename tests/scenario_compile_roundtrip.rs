@@ -179,12 +179,15 @@ fn out_of_range_fraction_is_rejected() {
 
 #[test]
 fn zero_nodes_is_rejected() {
-    let source = MINIMAL_OK.replace("nodes = 6", "nodes = 0");
-    let err = compile_str(&source).unwrap_err();
-    assert!(
-        err.to_string().contains("`nodes` must be at least 1"),
-        "got: {err}"
-    );
+    for (nodes, expected) in [
+        ("nodes = 0", "`nodes` must be at least 1"),
+        // Beyond what a 32-bit node id can index.
+        ("nodes = 4294967296", "`nodes` must be at most 4294967295"),
+    ] {
+        let source = MINIMAL_OK.replace("nodes = 6", nodes);
+        let err = compile_str(&source).unwrap_err();
+        assert!(err.to_string().contains(expected), "got: {err}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -215,7 +218,6 @@ fn compiled_scenario_runs_through_the_seed_pool() {
             &matrix.points[0].scenario,
             SeedPlan::new(42, 2),
             workers,
-            |_| {},
         )
         .unwrap();
         assert_eq!(pooled, direct, "{workers}-worker run diverged");
